@@ -2,9 +2,11 @@ package flow
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"splitmfg/internal/bench"
+	"splitmfg/internal/cache"
 	"splitmfg/internal/cell"
 	"splitmfg/internal/defense/correction"
 	"splitmfg/internal/layout"
@@ -259,4 +261,27 @@ func TestNaiveLiftingSitsBetween(t *testing.T) {
 		t.Fatalf("high-layer vias: orig=%d lifted=%d proposed=%d (both defenses must add vias)", orig, lift, prop)
 	}
 	t.Logf("V56+V67+V78: original=%d lifted=%d proposed=%d", orig, lift, prop)
+}
+
+// TestForEachPanicReachesTheCache checks that a panic on a forEach worker
+// goroutine is raised again on the caller's goroutine, where the result
+// cache's recover turns it into an error naming the key instead of
+// crashing the process, and that the key then recomputes.
+func TestForEachPanicReachesTheCache(t *testing.T) {
+	c := cache.New(0, nil)
+	_, _, err := c.Do(context.Background(), "job", nil, func() (any, error) {
+		forEach(8, 4, func(i int) {
+			if i == 2 {
+				panic("usage overflow")
+			}
+		})
+		return "unreachable", nil
+	})
+	if err == nil || !strings.Contains(err.Error(), `"job"`) || !strings.Contains(err.Error(), "usage overflow") {
+		t.Fatalf("error = %v, want the worker's panic naming the key", err)
+	}
+	v, hit, err := c.Do(context.Background(), "job", nil, func() (any, error) { return "ok", nil })
+	if err != nil || hit || v != "ok" {
+		t.Fatalf("after the panic Do = (%v, %v, %v), want a fresh (ok, false, nil)", v, hit, err)
+	}
 }

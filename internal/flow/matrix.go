@@ -2,15 +2,11 @@ package flow
 
 import (
 	"context"
-	"runtime"
-	"sync"
 	"time"
 
 	defengine "splitmfg/internal/defense/engine"
 
-	"splitmfg/internal/attack/engine"
 	"splitmfg/internal/cell"
-	"splitmfg/internal/defense/correction"
 	"splitmfg/internal/netlist"
 	"splitmfg/internal/route"
 	"splitmfg/internal/timing"
@@ -47,23 +43,21 @@ type MatrixOptions struct {
 	RouteStrategy route.Strategy
 }
 
-func (o MatrixOptions) withDefaults() MatrixOptions {
-	if len(o.Defenses) == 0 {
-		o.Defenses = []string{"randomize-correction"}
-	}
-	if len(o.Attackers) == 0 {
-		o.Attackers = []string{"proximity"}
-	}
-	if len(o.SplitLayers) == 0 {
-		o.SplitLayers = []int{3, 4, 5}
-	}
-	if o.PatternWords == 0 {
-		o.PatternWords = 256
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	return o
+// suiteOptions is the one-replicate suite a matrix runs as, with the
+// suite's defaults applied; EvaluateMatrix adds the one benchmark.
+func (o MatrixOptions) suiteOptions() SuiteOptions {
+	return SuiteOptions{
+		Defenses:         o.Defenses,
+		Attackers:        o.Attackers,
+		SplitLayers:      o.SplitLayers,
+		Seed:             o.Seed,
+		PatternWords:     o.PatternWords,
+		Parallelism:      o.Parallelism,
+		TargetOER:        o.TargetOER,
+		Fraction:         o.Fraction,
+		RouteParallelism: o.RouteParallelism,
+		RouteStrategy:    o.RouteStrategy,
+	}.withDefaults()
 }
 
 // MatrixRow is one defense's full outcome: its PPA cost relative to the
@@ -89,14 +83,6 @@ type MatrixResult struct {
 	Rows    []MatrixRow // one per requested defense, in request order
 }
 
-// matrixEntry is the memoized computation for one distinct defense name:
-// requesting the same defense twice in one matrix reuses the built layout
-// and its evaluation instead of re-running the (expensive) pair sweep.
-type matrixEntry struct {
-	row MatrixRow
-	err error
-}
-
 // EvaluateMatrix builds every requested defense on the netlist and runs
 // every requested attacker against it at each split layer — the full cross
 // product behind the paper's Tables 4 and 5. Rows are defenses, columns are
@@ -104,111 +90,25 @@ type matrixEntry struct {
 // row also carries the defense's PPA overhead against the unprotected
 // baseline.
 //
-// Every (defense, attacker, layer) triple derives its own independent RNG
-// stream from the master seed (FNV label mixing + splitmix64), and rows are
-// merged in request order, so the result — and its serialized MatrixReport
-// — is byte-identical at every parallelism level. A defense name requested
-// twice is computed once (per-matrix memo); an attacker requested twice
-// within a layer is deduplicated by the attack engine's per-layer memo.
+// It is a one-benchmark, one-replicate suite: the suite's job core builds
+// the baseline and the defense rows. Every (defense, attacker, layer)
+// triple derives its own RNG stream from the master seed and rows land in
+// request order, so the result — and its serialized MatrixReport — is
+// byte-identical at every parallelism level. A defense name requested
+// twice is computed once (the suite cache keys cells by defense name); an
+// attacker requested twice within a layer is deduplicated by the attack
+// engine's per-layer memo. Progress carries StageAttack per layer and
+// StageDefense per distinct defense, never suite-level events. The first
+// defense to fail cancels the rest; when several fail, which error is
+// returned depends on scheduling.
 func EvaluateMatrix(ctx context.Context, nl *netlist.Netlist, lib *cell.Library, opt MatrixOptions) (MatrixResult, error) {
-	opt = opt.withDefaults()
-	var out MatrixResult
-	if _, err := defengine.Resolve(opt.Defenses); err != nil {
-		return out, err
-	}
-	if _, err := engine.Resolve(opt.Attackers); err != nil {
-		return out, err
-	}
-	// One emitter for the whole matrix: concurrent defense rows and their
-	// nested layer evaluations all funnel through its single mutex, which
-	// is what upholds the documented ProgressFunc contract (calls are
-	// always serialized, implementations need no locking). Handing the
-	// raw opt.Progress to each nested EvaluateSecurity would give every
-	// row its own lock and race the user's callback.
-	em := newEmitter(opt.Progress)
-	if em != nil {
-		opt.Progress = em.emit
-	}
-	if err := ctx.Err(); err != nil {
-		return out, err
-	}
-
-	// The unprotected baseline anchors every row's PPA delta. It builds
-	// before the row pool starts, so it can use the full parallelism
-	// budget for its routing.
-	baseRouteP := opt.RouteParallelism
-	if baseRouteP == 0 {
-		baseRouteP = opt.Parallelism
-	}
-	base, err := correction.BuildOriginal(nl, lib, correction.Options{
-		LiftLayer: opt.LiftLayer, UtilPercent: opt.UtilPercent, Seed: opt.Seed,
-		RouteOpt: route.Options{Parallelism: baseRouteP, Strategy: opt.RouteStrategy},
-	})
+	so := opt.suiteOptions()
+	so.Benchmarks = []SuiteBenchmark{{Netlist: nl, LiftLayer: opt.LiftLayer, UtilPercent: opt.UtilPercent}}
+	jobs, err := runSuite(ctx, lib, so, opt.Progress)
 	if err != nil {
-		return out, err
+		return MatrixResult{}, err
 	}
-	out.BasePPA, err = timing.AnalyzeDesign(base, lib)
-	if err != nil {
-		return out, err
-	}
-
-	// Distinct defenses only: the memo key is the defense name, because a
-	// defense is a deterministic function of (netlist, seed) and the seed
-	// is derived from the name.
-	distinct := make([]string, 0, len(opt.Defenses))
-	seen := map[string]bool{}
-	for _, name := range opt.Defenses {
-		if !seen[name] {
-			seen[name] = true
-			distinct = append(distinct, name)
-		}
-	}
-	entries := make([]matrixEntry, len(distinct))
-	workers := opt.Parallelism
-	if workers > len(distinct) {
-		workers = len(distinct)
-	}
-	// Split the one parallelism budget between the row pool and each
-	// row's nested layer pool: `workers` rows in flight, each attacking
-	// up to Parallelism/workers layers at once. Without the division the
-	// nested pools would multiply (rows × layers concurrent attacks),
-	// oversubscribing the CPU and holding rows×layers split views live.
-	inner := opt.Parallelism / workers
-	if inner < 1 {
-		inner = 1
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				entries[i].row, entries[i].err = evaluateDefense(ctx, nl, lib, distinct[i], out.BasePPA, inner, opt)
-				if entries[i].err == nil {
-					em.emit(Event{Stage: StageDefense, Detail: distinct[i], Elapsed: entries[i].row.Elapsed})
-				}
-			}
-		}()
-	}
-	for i := range distinct {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
-	byName := make(map[string]*matrixEntry, len(distinct))
-	for i, name := range distinct {
-		byName[name] = &entries[i]
-	}
-	for _, name := range opt.Defenses {
-		e := byName[name]
-		if e.err != nil {
-			return out, e.err
-		}
-		out.Rows = append(out.Rows, e.row)
-	}
-	return out, nil
+	return MatrixResult{BasePPA: jobs.basePPA[0], Rows: jobs.cells}, nil
 }
 
 // evaluateDefense computes one matrix row: build the defense's layout with
@@ -219,7 +119,7 @@ func evaluateDefense(ctx context.Context, nl *netlist.Netlist, lib *cell.Library
 	name string, basePPA timing.PPA, parallelism int, opt MatrixOptions) (MatrixRow, error) {
 	start := time.Now()
 	row := MatrixRow{Defense: name}
-	def, _ := defengine.Lookup(name) // validated up front in EvaluateMatrix
+	def, _ := defengine.Lookup(name) // validated up front in runSuite
 	// Every defense receives the same scope seed (the defengine.Options
 	// contract, mirroring attack engines): each scheme derives its own
 	// streams by label, and the shared "randomize" label is what keeps

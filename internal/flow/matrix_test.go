@@ -155,6 +155,42 @@ func TestEvaluateMatrixProgressSerialized(t *testing.T) {
 	}
 }
 
+// TestEvaluateMatrixProgressContract pins what a matrix reports through
+// its progress hook when a defense is requested twice: one StageDefense
+// per distinct defense, one StageAttack per (distinct defense, split
+// layer), and none of the suite-level stages.
+func TestEvaluateMatrixProgressContract(t *testing.T) {
+	nl, err := bench.ISCAS85("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, opt := matrixFixture(t)
+	opt.Defenses = []string{"pin-swapping", "naive-lifted", "pin-swapping"}
+	opt.Attackers = []string{"random"}
+	opt.Parallelism = 4
+	counts := map[Stage]int{}
+	defenses := map[string]int{}
+	opt.Progress = func(ev Event) {
+		counts[ev.Stage]++
+		if ev.Stage == StageDefense {
+			defenses[ev.Detail]++
+		}
+	}
+	if _, err := EvaluateMatrix(context.Background(), nl, lib, opt); err != nil {
+		t.Fatal(err)
+	}
+	const distinct = 2
+	if len(defenses) != distinct || defenses["pin-swapping"] != 1 || defenses["naive-lifted"] != 1 {
+		t.Fatalf("StageDefense events per defense = %v, want one per distinct name", defenses)
+	}
+	if want := distinct * len(opt.SplitLayers); counts[StageAttack] != want {
+		t.Fatalf("got %d StageAttack events, want %d", counts[StageAttack], want)
+	}
+	if counts[StageSuiteBaseline] != 0 || counts[StageSuiteCell] != 0 {
+		t.Fatalf("matrix emitted suite-level events: %v", counts)
+	}
+}
+
 func TestEvaluateMatrixCancellation(t *testing.T) {
 	nl, err := bench.ISCAS85("c432")
 	if err != nil {

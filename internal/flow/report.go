@@ -170,13 +170,13 @@ type MatrixReport struct {
 
 // Report converts the matrix to its JSON-serializable form.
 func (m MatrixResult) Report(design string, opt MatrixOptions) MatrixReport {
-	opt = opt.withDefaults()
+	so := opt.suiteOptions()
 	rep := MatrixReport{
 		Design:      design,
-		Seed:        opt.Seed,
-		SplitLayers: append([]int(nil), opt.SplitLayers...),
-		Defenses:    append([]string(nil), opt.Defenses...),
-		Attackers:   append([]string(nil), opt.Attackers...),
+		Seed:        so.Seed,
+		SplitLayers: append([]int(nil), so.SplitLayers...),
+		Defenses:    append([]string(nil), so.Defenses...),
+		Attackers:   append([]string(nil), so.Attackers...),
 		BasePPA:     ppaReport(m.BasePPA),
 	}
 	for _, row := range m.Rows {

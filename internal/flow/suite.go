@@ -8,12 +8,12 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	defengine "splitmfg/internal/defense/engine"
 
 	"splitmfg/internal/attack/engine"
+	"splitmfg/internal/cache"
 	"splitmfg/internal/cell"
 	"splitmfg/internal/defense/correction"
 	"splitmfg/internal/netlist"
@@ -158,125 +158,6 @@ type CacheStats struct {
 	DiskHits int `json:"disk_hits,omitempty"`
 }
 
-// cacheEntry is one in-flight or completed computation. ready is closed
-// when val/err are final.
-type cacheEntry struct {
-	ready chan struct{}
-	val   any
-	err   error
-}
-
-// suiteCache is the content-addressed result cache shared by a whole
-// suite run: an in-memory singleflight tier, optionally backed by a
-// disk store (SuiteOptions.CacheDir) that persists every completed
-// value and survives the process. Keys encode every input that
-// determines the value (bench/scale/defense/fraction/attackers/
-// split-layers/seed/...), so a lookup can never conflate two different
-// computations. Concurrent requests deduplicate singleflight-style: the
-// first requester consults the disk and computes on a disk miss, later
-// requesters for the same key count a hit and block until the value is
-// ready.
-type suiteCache struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	stats   CacheStats
-	disk    *store.Store // nil = memory-only
-}
-
-func newSuiteCache(disk *store.Store) *suiteCache {
-	return &suiteCache{entries: map[string]*cacheEntry{}, disk: disk}
-}
-
-// do returns the cached (or freshly computed) value for key. decode
-// rebuilds the typed value from the disk tier's raw JSON; compute runs
-// only when both tiers miss, and its successful result is checkpointed
-// to disk best-effort (a failed write degrades to uncached, it never
-// fails the suite).
-func (c *suiteCache) do(key string, decode func([]byte) (any, error), compute func() (any, error)) (any, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.stats.Hits++
-		c.mu.Unlock()
-		<-e.ready
-		return e.val, e.err
-	}
-	e := &cacheEntry{ready: make(chan struct{})}
-	c.entries[key] = e
-	c.mu.Unlock()
-	if raw, ok := c.disk.Get(key); ok {
-		if v, err := decode(raw); err == nil {
-			c.mu.Lock()
-			c.stats.DiskHits++
-			c.mu.Unlock()
-			e.val = v
-			close(e.ready)
-			return v, nil
-		}
-		// A value that no longer decodes is as good as absent; fall
-		// through and recompute (the rewrite replaces it).
-	}
-	c.mu.Lock()
-	c.stats.Misses++
-	c.mu.Unlock()
-	e.val, e.err = compute()
-	if e.err == nil {
-		c.disk.Put(key, e.val)
-	}
-	close(e.ready)
-	return e.val, e.err
-}
-
-func (c *suiteCache) snapshot() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// stealQueue is the suite's bounded work-stealing scheduler. All jobs are
-// known up front, so it needs no wakeups: each worker owns a deque seeded
-// round-robin (striping spreads the early per-benchmark baseline builds
-// across workers instead of serializing them behind one singleflight), and
-// an idle worker steals from the nearest non-empty sibling when its own
-// deque runs dry. Both own pops and steals take the oldest job: job
-// indices are scheduling priority (baselines precede cells), so draining
-// front-first is what actually starts every benchmark's reference build
-// early instead of leaving the low-index jobs for last.
-type stealQueue struct {
-	mu     sync.Mutex
-	deques [][]int
-}
-
-func newStealQueue(jobs, workers int) *stealQueue {
-	q := &stealQueue{deques: make([][]int, workers)}
-	for j := 0; j < jobs; j++ {
-		w := j % workers
-		q.deques[w] = append(q.deques[w], j)
-	}
-	return q
-}
-
-// next returns the next job index for worker w, or ok=false when every
-// deque is empty (the suite's job set is exhausted — nothing enqueues
-// mid-run).
-func (q *stealQueue) next(w int) (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if own := q.deques[w]; len(own) > 0 {
-		j := own[0]
-		q.deques[w] = own[1:]
-		return j, true
-	}
-	for i := 1; i < len(q.deques); i++ {
-		v := (w + i) % len(q.deques)
-		if d := q.deques[v]; len(d) > 0 {
-			j := d[0]
-			q.deques[v] = d[1:]
-			return j, true
-		}
-	}
-	return 0, false
-}
-
 // Dist is a mean ± standard deviation pair: over seed replicates in
 // per-benchmark rows, over benchmarks in the suite aggregate. Std is the
 // population deviation (the replicates are the whole population of the
@@ -344,10 +225,10 @@ type SuiteResult struct {
 }
 
 // EvaluateSuite fans the (benchmark × defense × attacker × seed-replicate)
-// cross product through one bounded work-stealing worker pool with a
-// content-addressed result cache, so shared cells — each benchmark's
-// unprotected baseline, a defense requested twice — are computed once
-// across the whole suite rather than once per design.
+// cross product through one bounded worker pool with a content-addressed
+// result cache, so shared cells — each benchmark's unprotected baseline, a
+// defense requested twice — are computed once across the whole suite
+// rather than once per design.
 //
 // Each replicate derives its own splitmix64 seed stream from the master
 // seed (replicate 0 is the master seed itself), every job writes into a
@@ -367,37 +248,60 @@ func EvaluateSuite(ctx context.Context, lib *cell.Library, opt SuiteOptions) (Su
 			return out, fmt.Errorf("flow: suite benchmark %q has no netlist", b.Name)
 		}
 	}
+	jobs, err := runSuite(ctx, lib, opt, nil)
+	if err != nil {
+		return out, err
+	}
+
+	// Aggregate in request order: replicates collapse to mean ± std per
+	// (benchmark, defense) row, then benchmarks collapse to the suite
+	// aggregate per defense.
+	D, R := len(opt.Defenses), opt.Replicates
+	out.Replicates = R
+	for b, sb := range opt.Benchmarks {
+		br := SuiteBenchResult{Bench: sb.Name, BasePPA: jobs.basePPA[b]}
+		for d := range opt.Defenses {
+			reps := jobs.cells[(b*D+d)*R : (b*D+d+1)*R]
+			br.Rows = append(br.Rows, suiteRowOf(opt.Defenses[d], opt.Attackers, reps))
+		}
+		out.Benches = append(out.Benches, br)
+	}
+	for d, name := range opt.Defenses {
+		out.Aggregate = append(out.Aggregate, aggregateRow(name, opt.Attackers, out.Benches, d))
+	}
+	out.Cache = CacheStats{Hits: jobs.cache.Hits, Misses: jobs.cache.Misses, DiskHits: jobs.cache.DiskHits}
+	return out, nil
+}
+
+// suiteJobs is what the suite's job core computed: one baseline PPA per
+// benchmark and one row per (benchmark, defense, replicate) cell,
+// bench-major, plus the result cache's counters.
+type suiteJobs struct {
+	basePPA []timing.PPA
+	cells   []MatrixRow
+	cache   cache.Stats
+}
+
+// runSuite is the job core behind EvaluateSuite and EvaluateMatrix: B
+// baseline jobs (scheduled first so every benchmark's reference build
+// starts early) followed by B×D×R cell jobs, bench-major with repeated
+// defense names last, all run by forEach against one result cache. Cell
+// jobs that reach an unbuilt baseline block on its cache entry, so no
+// explicit dependency tracking is needed. Suite-level events go to
+// opt.Progress; nested, when non-nil, receives the per-layer StageAttack
+// events of every computed cell and one StageDefense per computed cell —
+// EvaluateMatrix's progress contract. opt must already carry its defaults.
+func runSuite(ctx context.Context, lib *cell.Library, opt SuiteOptions, nested ProgressFunc) (suiteJobs, error) {
+	var out suiteJobs
 	if _, err := defengine.Resolve(opt.Defenses); err != nil {
 		return out, err
 	}
 	if _, err := engine.Resolve(opt.Attackers); err != nil {
 		return out, err
 	}
-	em := newEmitter(opt.Progress)
 	if err := ctx.Err(); err != nil {
 		return out, err
 	}
-
-	// Job layout: B baseline jobs (scheduled first so every benchmark's
-	// reference build starts early) followed by B×D×R cell jobs,
-	// bench-major. Cell jobs that reach an unbuilt baseline block on its
-	// cache entry, so no explicit dependency tracking is needed.
-	B, D, R := len(opt.Benchmarks), len(opt.Defenses), opt.Replicates
-	numJobs := B + B*D*R
-	cellRows := make([]MatrixRow, B*D*R)
-	basePPA := make([]timing.PPA, B)
-
-	// The first job error cancels the remaining jobs; context.Cause
-	// preserves it through the pool teardown. An outer cancellation
-	// surfaces as its own cause.
-	cctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	fail := func(err error) {
-		if err != nil {
-			cancel(err)
-		}
-	}
-
 	var disk *store.Store
 	if opt.CacheDir != "" {
 		var err error
@@ -406,114 +310,116 @@ func EvaluateSuite(ctx context.Context, lib *cell.Library, opt SuiteOptions) (Su
 			return out, fmt.Errorf("flow: suite cache dir: %w", err)
 		}
 	}
-	cache := newSuiteCache(disk)
-	workers := opt.Parallelism
-	if workers > numJobs {
-		workers = numJobs
-	}
-	// Split the parallelism budget like EvaluateMatrix: `workers` jobs in
-	// flight, each attacking up to Parallelism/workers layers at once.
-	inner := opt.Parallelism / workers
-	if inner < 1 {
-		inner = 1
-	}
 
-	routeP := opt.RouteParallelism
+	B, D, R := len(opt.Benchmarks), len(opt.Defenses), opt.Replicates
+	out.basePPA = make([]timing.PPA, B)
+	out.cells = make([]MatrixRow, B*D*R)
+	// Start order: the baselines, then the cells of each defense name's
+	// first request, then the cells of repeated names, which only wait on
+	// their first request's cache entry.
+	order := make([]int, 0, B+B*D*R)
+	for j := range B {
+		order = append(order, j)
+	}
+	repeat := make([]bool, D)
+	seen := map[string]bool{}
+	for d, name := range opt.Defenses {
+		repeat[d], seen[name] = seen[name], true
+	}
+	for _, rep := range []bool{false, true} {
+		for k := range out.cells {
+			if repeat[k/R%D] == rep {
+				order = append(order, B+k)
+			}
+		}
+	}
+	// Size the pool by distinct cells alone: a cell taken before its
+	// baseline is built only waits on it.
+	workers := min(opt.Parallelism, B*len(seen)*R)
+	// Split the one parallelism budget: `workers` jobs in flight, each
+	// attacking up to Parallelism/workers layers at once and, unless the
+	// caller pinned a route worker count, routing with as many workers.
+	// Without the division the nested pools would multiply, oversubscribing
+	// the CPU and holding jobs×layers split views live.
+	inner := max(opt.Parallelism/workers, 1)
+	routeP, baseRouteP := opt.RouteParallelism, opt.RouteParallelism
 	if routeP == 0 {
 		routeP = inner
+		// The baselines start first, at most min(B, workers) at once, and
+		// the other workers can only wait on them; so a one-benchmark run
+		// routes its baseline with the whole budget.
+		baseRouteP = max(opt.Parallelism/min(B, workers), 1)
+	}
+	s := &suiteRun{
+		opt: opt, lib: lib, cache: cache.New(0, disk), inner: inner,
+		routeP: routeP, baseRouteP: baseRouteP,
+		em: newEmitter(opt.Progress), nested: newEmitter(nested),
 	}
 
-	runJob := func(j int) {
-		if j < B {
-			ppa, err := suiteBaseline(cctx, cache, opt.Benchmarks[j], lib, opt.Seed, routeP, opt.RouteStrategy, em)
-			if err != nil {
-				fail(err)
-				return
-			}
-			basePPA[j] = ppa
-			return
+	// The first job error cancels the remaining jobs; context.Cause
+	// preserves it through the pool teardown. An outer cancellation
+	// surfaces as its own cause.
+	cctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	forEach(len(order), workers, func(i int) {
+		var err error
+		if j := order[i]; j < B {
+			out.basePPA[j], err = s.baseline(cctx, opt.Benchmarks[j])
+		} else {
+			k := j - B
+			b, d, r := k/(D*R), k/R%D, k%R
+			out.cells[k], err = s.cell(cctx, opt.Benchmarks[b], opt.Defenses[d], r)
 		}
-		k := j - B
-		b, rem := k/(D*R), k%(D*R)
-		d, r := rem/R, rem%R
-		row, err := suiteCell(cctx, cache, opt.Benchmarks[b], lib, opt.Defenses[d], r, inner, opt, em)
 		if err != nil {
-			fail(err)
-			return
+			cancel(err)
 		}
-		cellRows[k] = row
-	}
-
-	queue := newStealQueue(numJobs, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				j, ok := queue.next(w)
-				if !ok {
-					return
-				}
-				runJob(j)
-			}
-		}(w)
-	}
-	wg.Wait()
+	})
 	if err := context.Cause(cctx); err != nil {
 		return out, err
 	}
-
-	// Aggregate in request order: replicates collapse to mean ± std per
-	// (benchmark, defense) row, then benchmarks collapse to the suite
-	// aggregate per defense.
-	out.Replicates = R
-	for b, sb := range opt.Benchmarks {
-		br := SuiteBenchResult{Bench: sb.Name, BasePPA: basePPA[b]}
-		for d := range opt.Defenses {
-			reps := make([]MatrixRow, R)
-			for r := 0; r < R; r++ {
-				reps[r] = cellRows[(b*D+d)*R+r]
-			}
-			br.Rows = append(br.Rows, suiteRowOf(opt.Defenses[d], opt.Attackers, reps))
-		}
-		out.Benches = append(out.Benches, br)
-	}
-	for d, name := range opt.Defenses {
-		out.Aggregate = append(out.Aggregate, aggregateRow(name, opt.Attackers, out.Benches, d))
-	}
-	out.Cache = cache.snapshot()
+	out.cache = s.cache.Stats()
 	return out, nil
 }
 
-// suiteBaseline builds (or reuses) one benchmark's unprotected baseline and
+// suiteRun is one suite evaluation's shared state.
+type suiteRun struct {
+	opt        SuiteOptions
+	lib        *cell.Library
+	cache      *cache.Cache // unbounded, so its counters are deterministic
+	inner      int          // layer workers per cell job
+	routeP     int          // route workers per defense build
+	baseRouteP int          // route workers per baseline build
+	em         *emitter     // suite-level events
+	nested     *emitter     // per-defense and per-layer events (EvaluateMatrix)
+}
+
+// baseline builds (or reuses) one benchmark's unprotected baseline and
 // returns its PPA — the anchor for every defense row's overheads, computed
 // once per benchmark across the whole suite.
-func suiteBaseline(ctx context.Context, cache *suiteCache, b SuiteBenchmark,
-	lib *cell.Library, seed int64, routeP int, strat route.Strategy, em *emitter) (timing.PPA, error) {
-	key := "baseline|" + b.cacheKey(seed) + "|route=" + routeStrategyKey(strat)
+func (s *suiteRun) baseline(ctx context.Context, b SuiteBenchmark) (timing.PPA, error) {
+	key := "baseline|" + b.cacheKey(s.opt.Seed) + "|route=" + routeStrategyKey(s.opt.RouteStrategy)
 	decode := func(raw []byte) (any, error) {
 		var ppa timing.PPA
 		err := json.Unmarshal(raw, &ppa)
 		return ppa, err
 	}
-	v, err := cache.do(key, decode, func() (any, error) {
+	v, _, err := s.cache.Do(ctx, key, decode, func() (any, error) {
 		start := time.Now()
 		if err := ctx.Err(); err != nil {
 			return timing.PPA{}, err
 		}
-		base, err := correction.BuildOriginal(b.Netlist, lib, correction.Options{
-			LiftLayer: b.LiftLayer, UtilPercent: b.UtilPercent, Seed: seed,
-			RouteOpt: route.Options{Parallelism: routeP, Strategy: strat},
+		base, err := correction.BuildOriginal(b.Netlist, s.lib, correction.Options{
+			LiftLayer: b.LiftLayer, UtilPercent: b.UtilPercent, Seed: s.opt.Seed,
+			RouteOpt: route.Options{Parallelism: s.baseRouteP, Strategy: s.opt.RouteStrategy},
 		})
 		if err != nil {
 			return timing.PPA{}, err
 		}
-		ppa, err := timing.AnalyzeDesign(base, lib)
+		ppa, err := timing.AnalyzeDesign(base, s.lib)
 		if err != nil {
 			return timing.PPA{}, err
 		}
-		em.emit(Event{Stage: StageSuiteBaseline, Bench: b.Name, Elapsed: time.Since(start)})
+		s.em.emit(Event{Stage: StageSuiteBaseline, Bench: b.Name, Elapsed: time.Since(start)})
 		return ppa, nil
 	})
 	if err != nil {
@@ -522,21 +428,15 @@ func suiteBaseline(ctx context.Context, cache *suiteCache, b SuiteBenchmark,
 	return v.(timing.PPA), nil
 }
 
-// suiteCell computes (or reuses) one (benchmark, defense, replicate) cell:
-// the defense built with the replicate's derived seed, analyzed against the
+// cell computes (or reuses) one (benchmark, defense, replicate) cell: the
+// defense built with the replicate's derived seed, analyzed against the
 // benchmark's shared baseline, and attacked by the full panel.
-func suiteCell(ctx context.Context, cache *suiteCache, b SuiteBenchmark, lib *cell.Library,
-	defense string, rep, inner int, opt SuiteOptions, em *emitter) (MatrixRow, error) {
-	// Each suite job routes with its share of the one parallelism budget
-	// unless the caller pinned a route worker count explicitly.
-	routeP := opt.RouteParallelism
-	if routeP == 0 {
-		routeP = inner
-	}
-	base, err := suiteBaseline(ctx, cache, b, lib, opt.Seed, routeP, opt.RouteStrategy, em)
+func (s *suiteRun) cell(ctx context.Context, b SuiteBenchmark, defense string, rep int) (MatrixRow, error) {
+	base, err := s.baseline(ctx, b)
 	if err != nil {
 		return MatrixRow{}, err
 	}
+	opt := s.opt
 	repSeed := replicateSeed(opt.Seed, rep)
 	key := fmt.Sprintf("cell|%s|route=%s|defense=%s|fraction=%g|oer=%g|attackers=%s|layers=%v|words=%d|seed=%d",
 		b.cacheKey(opt.Seed), routeStrategyKey(opt.RouteStrategy), defense, opt.Fraction, opt.TargetOER,
@@ -546,8 +446,8 @@ func suiteCell(ctx context.Context, cache *suiteCache, b SuiteBenchmark, lib *ce
 		err := json.Unmarshal(raw, &row)
 		return row, err
 	}
-	v, err := cache.do(key, decode, func() (any, error) {
-		row, err := evaluateDefense(ctx, b.Netlist, lib, defense, base, inner, MatrixOptions{
+	v, _, err := s.cache.Do(ctx, key, decode, func() (any, error) {
+		mo := MatrixOptions{
 			Attackers:        opt.Attackers,
 			SplitLayers:      opt.SplitLayers,
 			Seed:             repSeed,
@@ -556,19 +456,24 @@ func suiteCell(ctx context.Context, cache *suiteCache, b SuiteBenchmark, lib *ce
 			UtilPercent:      b.UtilPercent,
 			TargetOER:        opt.TargetOER,
 			Fraction:         opt.Fraction,
-			RouteParallelism: routeP,
+			RouteParallelism: s.routeP,
 			RouteStrategy:    opt.RouteStrategy,
-		})
+		}
+		if s.nested != nil {
+			mo.Progress = s.nested.emit // one lock for every nested layer pool
+		}
+		row, err := evaluateDefense(ctx, b.Netlist, s.lib, defense, base, s.inner, mo)
 		if err != nil {
 			return MatrixRow{}, err
 		}
+		s.nested.emit(Event{Stage: StageDefense, Detail: defense, Elapsed: row.Elapsed})
 		return row, nil
 	})
 	if err != nil {
 		return MatrixRow{}, err
 	}
 	row := v.(MatrixRow)
-	em.emit(Event{Stage: StageSuiteCell, Bench: b.Name, Replicate: rep,
+	s.em.emit(Event{Stage: StageSuiteCell, Bench: b.Name, Replicate: rep,
 		Detail: defense, Elapsed: row.Elapsed})
 	return row, nil
 }

@@ -7,8 +7,10 @@
 package layout
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"splitmfg/internal/cell"
 	"splitmfg/internal/geom"
@@ -252,16 +254,10 @@ func (d *Design) RouteAll(lifts map[int]int) error {
 		}
 		jobs = append(jobs, job{n.ID, geom.HPWL(d.Placement.NetPoints(d.Netlist, n.ID))})
 	}
-	// insertion sort by hpwl then id for determinism
-	for i := 1; i < len(jobs); i++ {
-		j := jobs[i]
-		k := i - 1
-		for k >= 0 && (jobs[k].hpwl > j.hpwl || (jobs[k].hpwl == j.hpwl && jobs[k].id > j.id)) {
-			jobs[k+1] = jobs[k]
-			k--
-		}
-		jobs[k+1] = j
-	}
+	// (hpwl, id) is a total order, so the unstable sort is deterministic.
+	slices.SortFunc(jobs, func(a, b job) int {
+		return cmp.Or(cmp.Compare(a.hpwl, b.hpwl), cmp.Compare(a.id, b.id))
+	})
 	// Tag all nets' terminals into one arena: one allocation for the whole
 	// design instead of one per net.
 	total := 0
@@ -332,16 +328,10 @@ func (d *Design) LegalizeExtras() {
 	}
 	for y := d.Placement.Die.Lo.Y; y < d.Placement.Die.Hi.Y; y += rowH {
 		ids := rows[y]
-		// sort by x
-		for i := 1; i < len(ids); i++ {
-			j := ids[i]
-			k := i - 1
-			for k >= 0 && d.Extras[ids[k]].Loc.X > d.Extras[j].Loc.X {
-				ids[k+1] = ids[k]
-				k--
-			}
-			ids[k+1] = j
-		}
+		// Stable: extras tied on x keep their index order.
+		slices.SortStableFunc(ids, func(a, b int) int {
+			return cmp.Compare(d.Extras[a].Loc.X, d.Extras[b].Loc.X)
+		})
 		cursor := d.Placement.Die.Lo.X
 		for _, id := range ids {
 			e := &d.Extras[id]

@@ -21,6 +21,7 @@ package route
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -565,7 +566,7 @@ func (r *Router) NegotiateReroute(iters int) {
 		for id := range over {
 			ids = append(ids, id)
 		}
-		sortInts(ids)
+		slices.Sort(ids)
 		r.Opt.HistoryCost *= 1.8
 		for _, id := range ids {
 			rn := r.nets[id]
@@ -582,17 +583,5 @@ func (r *Router) NegotiateReroute(iters int) {
 				continue
 			}
 		}
-	}
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"splitmfg"
+	"splitmfg/internal/cache"
 	"splitmfg/internal/store"
 )
 
@@ -103,6 +104,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// CacheStats counts result-cache outcomes across the server's lifetime
+// (see cache.Stats); it is the "cache" object of GET /v1/stats.
+type CacheStats = cache.Stats
+
 // Stats is the server-wide snapshot served by GET /v1/stats.
 type Stats struct {
 	Jobs  map[State]int `json:"jobs"` // job count per lifecycle state
@@ -118,7 +123,7 @@ type Stats struct {
 // use by the HTTP handlers.
 type Manager struct {
 	cfg   Config
-	cache *resultCache
+	cache *cache.Cache
 
 	// baseCtx parents every job context; Shutdown cancels it to stop
 	// still-running jobs once the drain deadline passes.
@@ -160,7 +165,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:     cfg,
-		cache:   newResultCache(cfg.CacheEntries, disk),
+		cache:   cache.New(cfg.CacheEntries, disk),
 		baseCtx: ctx,
 		stopAll: cancel,
 		jobs:    map[string]*Job{},
@@ -327,7 +332,7 @@ func (m *Manager) Stats() Stats {
 	m.mu.Unlock()
 	st := Stats{
 		Jobs:        map[State]int{},
-		Cache:       m.cache.snapshot(),
+		Cache:       m.cache.Stats(),
 		Parallelism: m.cfg.Parallelism,
 		MaxRunning:  m.cfg.MaxRunning,
 	}
@@ -380,7 +385,7 @@ func (m *Manager) runJob(job *Job) {
 	decode := func(raw []byte) (any, error) {
 		return splitmfg.DecodeReport(job.req.Kind, raw)
 	}
-	val, hit, err := m.cache.do(jobCtx, job.req.CacheKey(), decode, func() (any, error) {
+	val, hit, err := m.cache.Do(jobCtx, job.req.CacheKey(), decode, func() (any, error) {
 		return job.req.Run(jobCtx, extra...)
 	})
 	if hit {

@@ -1,8 +1,9 @@
 // Package store is a disk-backed content-addressed result store: the
-// durable second tier under the in-memory singleflight caches of the
-// suite scheduler (internal/flow) and the evaluation server
-// (internal/server). A killed suite run resumes from it, and identical
-// requests are free across process restarts and across smbench/smserve.
+// durable second tier under the in-memory singleflight cache
+// (internal/cache) of the suite scheduler (internal/flow) and the
+// evaluation server (internal/server). A killed suite run resumes from
+// it, and identical requests are free across process restarts and across
+// smbench/smserve.
 //
 // Each entry is one file named sha256(key).json holding a small JSON
 // envelope — a format version, the caller's key-schema version, the full
