@@ -21,7 +21,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"splitmfg/internal/attack/engine"
@@ -31,6 +30,7 @@ import (
 	"splitmfg/internal/layout"
 	"splitmfg/internal/metrics"
 	"splitmfg/internal/netlist"
+	"splitmfg/internal/par"
 	"splitmfg/internal/route"
 	"splitmfg/internal/sim"
 	"splitmfg/internal/timing"
@@ -165,40 +165,6 @@ func (e *emitter) observeWaves(attempt int, detail string) func(wave, waves, net
 	return func(wave, waves, nets int, elapsed time.Duration) {
 		e.emit(Event{Stage: StageRouteWave, Attempt: attempt,
 			Detail: fmt.Sprintf("%s wave %d/%d: %d nets", detail, wave, waves, nets), Elapsed: elapsed})
-	}
-}
-
-// forEach runs fn(0), …, fn(n-1) on at most workers goroutines and
-// returns when every call has. Indices are handed out from one atomic
-// counter, so calls start in global index order — callers put the jobs
-// that unblock others (the suite's baselines) first. Callers write each
-// result into a preallocated slot, which keeps results independent of
-// scheduling. A panic in fn stops the handing out of indices and is
-// raised again on the caller's goroutine once every worker has returned,
-// so a recover around forEach (the result cache's) contains it.
-func forEach(n, workers int, fn func(i int)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicked any
-	for w := 0; w < min(workers, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panicOnce.Do(func() { panicked = p })
-					next.Store(int64(n))
-				}
-			}()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
 	}
 }
 
@@ -449,7 +415,7 @@ func EvaluateSecurity(ctx context.Context, d *layout.Design, ref *netlist.Netlis
 
 	results := make([]LayerResult, len(layers))
 	errs := make([]error, len(layers))
-	forEach(len(layers), opt.Parallelism, func(i int) {
+	par.ForEach(len(layers), opt.Parallelism, func(_, i int) {
 		results[i], errs[i] = evaluateLayer(ctx, d, ref, layers[i], opt)
 		detail := ""
 		if results[i].Vacuous {

@@ -11,6 +11,7 @@ import (
 	"splitmfg/internal/defense/correction"
 	"splitmfg/internal/layout"
 	"splitmfg/internal/netlist"
+	"splitmfg/internal/par"
 )
 
 // TestHeadlineResult reproduces the paper's central claim on one
@@ -263,14 +264,14 @@ func TestNaiveLiftingSitsBetween(t *testing.T) {
 	t.Logf("V56+V67+V78: original=%d lifted=%d proposed=%d", orig, lift, prop)
 }
 
-// TestForEachPanicReachesTheCache checks that a panic on a forEach worker
+// TestForEachPanicReachesTheCache checks that a panic on a par.ForEach worker
 // goroutine is raised again on the caller's goroutine, where the result
 // cache's recover turns it into an error naming the key instead of
 // crashing the process, and that the key then recomputes.
 func TestForEachPanicReachesTheCache(t *testing.T) {
 	c := cache.New(0, nil)
 	_, _, err := c.Do(context.Background(), "job", nil, func() (any, error) {
-		forEach(8, 4, func(i int) {
+		par.ForEach(8, 4, func(_, i int) {
 			if i == 2 {
 				panic("usage overflow")
 			}

@@ -17,6 +17,7 @@ import (
 	"splitmfg/internal/cell"
 	"splitmfg/internal/defense/correction"
 	"splitmfg/internal/netlist"
+	"splitmfg/internal/par"
 	"splitmfg/internal/route"
 	"splitmfg/internal/store"
 	"splitmfg/internal/timing"
@@ -285,7 +286,7 @@ type suiteJobs struct {
 // runSuite is the job core behind EvaluateSuite and EvaluateMatrix: B
 // baseline jobs (scheduled first so every benchmark's reference build
 // starts early) followed by B×D×R cell jobs, bench-major with repeated
-// defense names last, all run by forEach against one result cache. Cell
+// defense names last, all run by par.ForEach against one result cache. Cell
 // jobs that reach an unbuilt baseline block on its cache entry, so no
 // explicit dependency tracking is needed. Suite-level events go to
 // opt.Progress; nested, when non-nil, receives the per-layer StageAttack
@@ -361,7 +362,7 @@ func runSuite(ctx context.Context, lib *cell.Library, opt SuiteOptions, nested P
 	// surfaces as its own cause.
 	cctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	forEach(len(order), workers, func(i int) {
+	par.ForEach(len(order), workers, func(_, i int) {
 		var err error
 		if j := order[i]; j < B {
 			out.basePPA[j], err = s.baseline(cctx, opt.Benchmarks[j])

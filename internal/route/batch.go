@@ -2,13 +2,11 @@ package route
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
-	"splitmfg/internal/geom"
+	"splitmfg/internal/par"
 )
 
 // Job is one net of a batched routing request (RouteJobs).
@@ -38,9 +36,10 @@ func (e *JobError) Unwrap() error { return e.Err }
 const waveTileGCells = 8
 
 // RouteJobs routes the jobs in order, with semantics identical to calling
-// RouteNet(j.ID, j.Pins, j.MinLayer) for each job sequentially — but, when
-// Opt.Parallelism allows (0 = GOMAXPROCS), spatially disjoint nets route
-// concurrently:
+// RouteNet(j.ID, j.Pins, j.MinLayer) for each job sequentially — except
+// that a job with no pins or a lift above the top layer fails the batch
+// up front, before anything routes — but, when Opt.Parallelism allows
+// (0 = GOMAXPROCS), spatially disjoint nets route concurrently:
 //
 // Each job declares a region — its pin bounding box (plus any existing
 // route's bounding box) expanded by MaxDetour gcells per sink, the bound
@@ -77,6 +76,11 @@ const waveTileGCells = 8
 //
 // Opt.OnWave, when set, observes each committed multi-net wave.
 func (r *Router) RouteJobs(jobs []Job) error {
+	for i, j := range jobs {
+		if err := r.checkJob(j); err != nil {
+			return &JobError{Index: i, ID: j.ID, Err: err}
+		}
+	}
 	var corrs []corridor
 	if r.ResolvedStrategy() == StrategyHier && len(jobs) > 0 {
 		if r.planner == nil {
@@ -86,18 +90,16 @@ func (r *Router) RouteJobs(jobs []Job) error {
 		if r.corridorHook != nil {
 			r.corridorHook(corrs)
 		}
-		// Remember each net's corridor (copied: the planner arena is
-		// reused by the next plan) so congestion negotiation between
+		// Remember each net's corridor (tiles copied: the planner arena
+		// is reused by the next plan) so congestion negotiation between
 		// batches can stay corridor-confined — see NegotiateReroute.
 		if r.netCorrs == nil {
-			r.netCorrs = make(map[int]storedCorridor, len(jobs))
+			r.netCorrs = make(map[int]corridor, len(jobs))
 		}
 		for i, j := range jobs {
-			if corrs[i].n > 0 {
-				r.netCorrs[j.ID] = storedCorridor{
-					tiles: append([]int32(nil), corrs[i].tiles...),
-					reg:   corrs[i].reg,
-				}
+			if c := corrs[i]; c.n > 0 {
+				c.tiles = slices.Clone(c.tiles)
+				r.netCorrs[j.ID] = c
 			}
 		}
 	}
@@ -118,12 +120,15 @@ func (r *Router) RouteJobs(jobs []Job) error {
 		return r.routeJobsSerial(jobs, corrs)
 	}
 
-	// Workers are allocated per batch, not cached on the Router: their
-	// scratch is sized to the full grid (~24 bytes/node each), and routers
-	// live as long as their Designs — which suite caches retain. Paying
-	// the allocation on each of a build's few batched calls beats pinning
-	// hundreds of MB to every superblue-scale design in a suite.
-	workers := make([]*worker, 0, p)
+	// Workers beyond the serial one are allocated per batch, not cached
+	// on the Router: their scratch is sized to the full grid (~24
+	// bytes/node each), and routers live as long as their Designs — which
+	// suite caches retain. Paying the allocation on each of a build's few
+	// batched calls beats pinning hundreds of MB to every superblue-scale
+	// design in a suite. Worker 0 is the serial worker, which also routes
+	// the single-job waves on the caller's goroutine.
+	workers := make([]*worker, p)
+	workers[0] = r.serial
 	rns := make([]*RoutedNet, len(jobs))
 	errs := make([]error, len(jobs))
 	// committed tracks (job index, replaced route) for rollback: when any
@@ -152,50 +157,16 @@ func (r *Router) RouteJobs(jobs []Job) error {
 		}
 	}
 
-	// routeOne routes one job on a worker with the job's corridor (if
-	// any) armed for the duration of the call.
-	routeOne := func(w *worker, ji int, bound *region) (*RoutedNet, error) {
-		j := jobs[ji]
-		if corrs != nil && corrs[ji].n > 0 {
-			w.setCorridor(r.planner.tw, r.planner.th, corrs[ji].tiles, corrs[ji].reg)
-			defer w.clearCorridor()
-		}
-		return w.routeNet(j.ID, j.Pins, j.MinLayer, r.nets[j.ID], bound)
-	}
-
 	for wi, wv := range waves {
 		start := time.Now() //smlint:wallclock wave wall-clock for the OnWave progress callback; never reaches routed results
-		if len(wv.jobs) == 1 {
-			ji := wv.jobs[0]
-			rns[ji], errs[ji] = routeOne(r.serial, ji, &wv.regions[0])
-		} else {
-			pw := p
-			if pw > len(wv.jobs) {
-				pw = len(wv.jobs)
+		par.ForEach(len(wv.jobs), p, func(w, t int) {
+			if workers[w] == nil {
+				workers[w] = newWorker(r)
 			}
-			//smlint:bounded grows the reusable worker pool to pw <= Parallelism, one append per iteration
-			for len(workers) < pw {
-				workers = append(workers, newWorker(r))
-			}
-			var next int32
-			var wg sync.WaitGroup
-			for k := 0; k < pw; k++ {
-				wg.Add(1)
-				go func(w *worker) {
-					defer wg.Done()
-					//smlint:bounded work-stealing over a fixed job list: every iteration claims a fresh index and returns past len(wv.jobs)
-					for {
-						t := int(atomic.AddInt32(&next, 1)) - 1
-						if t >= len(wv.jobs) {
-							return
-						}
-						ji := wv.jobs[t]
-						rns[ji], errs[ji] = routeOne(w, ji, &wv.regions[t])
-					}
-				}(workers[k])
-			}
-			wg.Wait()
-		}
+			ji := wv.jobs[t]
+			j := jobs[ji]
+			rns[ji], errs[ji] = workers[w].routeNet(j, r.nets[j.ID], jobCorridor(corrs, ji), &wv.regions[t])
+		})
 		// Any escape — or corridor failure, whose flat retry cannot stay
 		// inside the declared region — poisons every concurrent result:
 		// roll back and route the whole batch serially. (Escape is
@@ -239,59 +210,27 @@ func (r *Router) RouteJobs(jobs []Job) error {
 	return nil
 }
 
-// routeJobsSerial is the serial schedule every batch reduces to: plain
-// RouteNet per job in order under the flat strategy (corrs nil), and
-// corridor-first routing with a per-net flat fallback under hier. The
+// routeJobsSerial is the serial schedule every batch reduces to:
+// routeSerial per job in order, flat under the flat strategy (corrs nil)
+// and corridor-first with a per-net flat fallback under hier. The
 // parallel path's escape fallback re-enters here with the same corridors
 // the waves used, so both paths make identical routing decisions.
 func (r *Router) routeJobsSerial(jobs []Job, corrs []corridor) error {
 	for i, j := range jobs {
-		var err error
-		if corrs != nil && corrs[i].n > 0 {
-			err = r.routeNetHier(j, &corrs[i])
-		} else {
-			err = r.RouteNet(j.ID, j.Pins, j.MinLayer)
-		}
-		if err != nil {
+		if err := r.routeSerial(j, jobCorridor(corrs, i)); err != nil {
 			return &JobError{Index: i, ID: j.ID, Err: err}
 		}
 	}
 	return nil
 }
 
-// routeNetHier routes one multi-pin job corridor-first on the serial
-// worker. A corridor failure is not fatal: the net retries with the flat
-// search (full detour loop) exactly as if the strategy were flat, and
-// the retry is counted in HierStats.FlatFallbacks.
-func (r *Router) routeNetHier(j Job, c *corridor) error {
-	return r.routeNetCorridor(j.ID, j.Pins, j.MinLayer, c.tiles, c.reg)
-}
-
-// routeNetCorridor is the serial corridor-confined route shared by hier
-// batch refinement and hier congestion negotiation: compute within the
-// corridor, retry flat on corridor exhaustion, commit only on success —
-// the same contract as RouteNet.
-func (r *Router) routeNetCorridor(id int, pins []Pin, minLayer int, tiles []int32, reg region) error {
-	if minLayer > r.Grid.Layers {
-		return fmt.Errorf("route: net %d lift layer M%d above top layer M%d", id, minLayer, r.Grid.Layers)
+// jobCorridor returns job i's planned corridor, or nil when the job
+// routes flat: under the flat strategy, or as a single-pin net.
+func jobCorridor(corrs []corridor, i int) *corridor {
+	if corrs == nil || corrs[i].n == 0 {
+		return nil
 	}
-	old := r.nets[id]
-	w := r.serial
-	w.setCorridor(r.planner.tw, r.planner.th, tiles, reg)
-	rn, err := w.routeNet(id, pins, minLayer, old, nil)
-	w.clearCorridor()
-	if err != nil {
-		if errors.Is(err, errCorridor) {
-			r.hierStats.FlatFallbacks++
-			return r.RouteNet(id, pins, minLayer)
-		}
-		if old == nil {
-			r.nets[id] = rn // failed marker: no edges, no usage
-		}
-		return err
-	}
-	r.commit(rn, old)
-	return nil
+	return &corrs[i]
 }
 
 // wave is one parallel step of a batch: job indices in job order plus each
@@ -327,13 +266,7 @@ func (r *Router) partition(jobs []Job, corrs []corridor) ([]wave, bool) {
 	numLevels := 0
 	last := map[[2]int]int{} // tile -> last job index covering it
 	for i, j := range jobs {
-		var reg region
-		var interacts bool
-		if corrs != nil && corrs[i].n > 0 {
-			reg, interacts = r.declaredRegionHier(j, &corrs[i])
-		} else {
-			reg, interacts = r.declaredRegion(j)
-		}
+		reg, interacts := r.declaredRegion(j, jobCorridor(corrs, i))
 		regions[i] = reg
 		lvl := 0
 		if interacts {
@@ -367,85 +300,44 @@ func (r *Router) partition(jobs []Job, corrs []corridor) ([]wave, bool) {
 }
 
 // declaredRegion is the spatial bound job searches must stay within when
-// routed concurrently: the bounding box of its pins and any existing route
-// being replaced, expanded by MaxDetour gcells per sink (each sink's
-// search can expand the tree's bounding box by one first-attempt detour).
-// interacts is false only for jobs that neither read nor write congestion
-// state: single-pin jobs with no existing route to rip up. A single-pin
-// job replacing a routed net interacts — its commit decrements usage
-// across the old route's region — but needs no detour margin, since it
-// performs no searches.
-func (r *Router) declaredRegion(j Job) (region, bool) {
+// routed concurrently. Under the flat strategy (c nil) it is the bounding
+// box of the job's pins and any existing route being replaced, expanded
+// by MaxDetour gcells per sink (each sink's search can expand the tree's
+// bounding box by one first-attempt detour). interacts is false only for
+// jobs that neither read nor write congestion state: single-pin jobs with
+// no existing route to rip up. A single-pin job replacing a routed net
+// interacts — its commit decrements usage across the old route's region
+// — but needs no detour margin, since it performs no searches.
+//
+// With a corridor it is the corridor's rectangle (which already contains
+// every pin — corridor-confined searches cannot read or write outside
+// it) unioned with any existing route being replaced, whose rip-up
+// decrements usage across the old edges. No detour expansion: corridor
+// mode runs a single attempt and a failure escapes to the serial
+// schedule instead of retrying wider.
+func (r *Router) declaredRegion(j Job, c *corridor) (region, bool) {
 	g := r.Grid
-	n0 := g.NodeOf(j.Pins[0].Pt, j.Pins[0].Layer)
-	reg := region{loX: n0.X, loY: n0.Y, hiX: n0.X, hiY: n0.Y}
-	grow := func(x, y int) {
-		if x < reg.loX {
-			reg.loX = x
+	var reg region
+	if c != nil {
+		reg = c.reg
+	} else {
+		n0 := g.NodeOf(j.Pins[0].Pt, j.Pins[0].Layer)
+		reg = point(n0.X, n0.Y)
+		for _, p := range j.Pins[1:] {
+			n := g.NodeOf(p.Pt, p.Layer)
+			reg.add(n.X, n.Y)
 		}
-		if y < reg.loY {
-			reg.loY = y
-		}
-		if x > reg.hiX {
-			reg.hiX = x
-		}
-		if y > reg.hiY {
-			reg.hiY = y
-		}
-	}
-	for _, p := range j.Pins[1:] {
-		n := g.NodeOf(p.Pt, p.Layer)
-		grow(n.X, n.Y)
 	}
 	interacts := len(j.Pins) > 1
 	if old := r.nets[j.ID]; old != nil && len(old.Edges) > 0 {
 		interacts = true
 		for _, e := range old.Edges {
-			grow(e.A.X, e.A.Y)
-			grow(e.B.X, e.B.Y)
+			reg.add(e.A.X, e.A.Y)
+			reg.add(e.B.X, e.B.Y)
 		}
 	}
-	if !interacts {
-		return reg, false
+	if c != nil || !interacts {
+		return reg, interacts
 	}
-	if k := len(j.Pins) - 1; k > 0 {
-		m := r.Opt.MaxDetour * k
-		reg.loX = geom.Clamp(reg.loX-m, 0, g.W-1)
-		reg.loY = geom.Clamp(reg.loY-m, 0, g.H-1)
-		reg.hiX = geom.Clamp(reg.hiX+m, 0, g.W-1)
-		reg.hiY = geom.Clamp(reg.hiY+m, 0, g.H-1)
-	}
-	return reg, true
-}
-
-// declaredRegionHier is the hierarchical strategy's declared region: the
-// corridor's rectangle (which already contains every pin —
-// corridor-confined searches cannot read or write outside it) unioned
-// with any existing route being replaced,
-// whose rip-up decrements usage across the old edges. No detour
-// expansion: corridor mode runs a single attempt and a failure escapes
-// to the serial schedule instead of retrying wider.
-func (r *Router) declaredRegionHier(j Job, c *corridor) (region, bool) {
-	reg := c.reg
-	if old := r.nets[j.ID]; old != nil && len(old.Edges) > 0 {
-		grow := func(x, y int) {
-			if x < reg.loX {
-				reg.loX = x
-			}
-			if y < reg.loY {
-				reg.loY = y
-			}
-			if x > reg.hiX {
-				reg.hiX = x
-			}
-			if y > reg.hiY {
-				reg.hiY = y
-			}
-		}
-		for _, e := range old.Edges {
-			grow(e.A.X, e.A.Y)
-			grow(e.B.X, e.B.Y)
-		}
-	}
-	return reg, true
+	return reg.expand(r.Opt.MaxDetour*(len(j.Pins)-1), g), true
 }

@@ -193,34 +193,15 @@ func (c *coarsePlanner) planNet(j Job) corridor {
 	// The corridor is exactly the core — no dilation margin (see the
 	// package comment above). Track the tile bounding box for the fine
 	// search's declared region.
-	loTx, loTy, hiTx, hiTy := c.tw, c.th, -1, -1
-	for _, t := range c.core {
-		tx, ty := int(t)%c.tw, int(t)/c.tw
-		if tx < loTx {
-			loTx = tx
-		}
-		if ty < loTy {
-			loTy = ty
-		}
-		if tx > hiTx {
-			hiTx = tx
-		}
-		if ty > hiTy {
-			hiTy = ty
-		}
+	tb := point(int(root)%c.tw, int(root)/c.tw)
+	for _, t := range c.core[1:] {
+		tb.add(int(t)%c.tw, int(t)/c.tw)
 	}
-
 	reg := region{
-		loX: loTx * waveTileGCells,
-		loY: loTy * waveTileGCells,
-		hiX: hiTx*waveTileGCells + waveTileGCells - 1,
-		hiY: hiTy*waveTileGCells + waveTileGCells - 1,
-	}
-	if reg.hiX > g.W-1 {
-		reg.hiX = g.W - 1
-	}
-	if reg.hiY > g.H-1 {
-		reg.hiY = g.H - 1
+		loX: tb.loX * waveTileGCells,
+		loY: tb.loY * waveTileGCells,
+		hiX: min(tb.hiX*waveTileGCells+waveTileGCells-1, g.W-1),
+		hiY: min(tb.hiY*waveTileGCells+waveTileGCells-1, g.H-1),
 	}
 	off := len(c.arena)
 	c.arena = append(c.arena, c.core...)

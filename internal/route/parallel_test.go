@@ -2,6 +2,7 @@ package route
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -276,35 +277,86 @@ func TestNegotiateRerouteRestoresHistoryCost(t *testing.T) {
 // TestNegotiateConservesRoutes: negotiation may move routes around but
 // must never lose one — every net keeps a valid tree and the usage arrays
 // must equal a recount over the surviving edges (the old failure path
-// double-freed the replaced route and stranded a partial one).
+// double-freed the replaced route and stranded a partial one). Under hier
+// the nets are routed as a batch, so negotiation re-routes them inside
+// their remembered corridors.
 func TestNegotiateConservesRoutes(t *testing.T) {
-	r := NewRouter(testGrid(), Options{Capacity: 1})
-	for i := 0; i < 16; i++ {
-		pins := []Pin{
-			{Pt: geom.Point{X: 1400, Y: 28000 + (i%2)*100}, Layer: 1},
-			{Pt: geom.Point{X: 54000, Y: 28000 + (i%2)*100}, Layer: 1},
-		}
-		if err := r.RouteNet(i, pins, 1); err != nil {
-			t.Fatal(err)
-		}
+	for _, strategy := range []Strategy{StrategyFlat, StrategyHier} {
+		t.Run(string(strategy), func(t *testing.T) {
+			r := NewRouter(testGrid(), Options{Capacity: 1, Strategy: strategy})
+			jobs := make([]Job, 16)
+			for i := range jobs {
+				jobs[i] = Job{ID: i, Pins: []Pin{
+					{Pt: geom.Point{X: 1400, Y: 28000 + (i%2)*100}, Layer: 1},
+					{Pt: geom.Point{X: 54000, Y: 28000 + (i%2)*100}, Layer: 1},
+				}, MinLayer: 1}
+			}
+			if err := r.RouteJobs(jobs); err != nil {
+				t.Fatal(err)
+			}
+			r.NegotiateReroute(4)
+			if nego := r.Hier().NegoCorridor; (nego > 0) != (strategy == StrategyHier) {
+				t.Fatalf("%s negotiation made %d corridor re-routes", strategy, nego)
+			}
+			if r.NumNets() != 16 {
+				t.Fatalf("negotiation lost nets: %d of 16 remain", r.NumNets())
+			}
+			if err := r.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			// Recount usage from the surviving nets; it must match the arrays.
+			recount := NewRouter(r.Grid, r.Opt)
+			for _, rn := range r.nets {
+				for _, e := range rn.Edges {
+					recount.addUsage(e, 1, rn.ID)
+				}
+			}
+			for i := range r.usageH {
+				if r.usageH[i] != recount.usageH[i] || r.usageV[i] != recount.usageV[i] {
+					t.Fatalf("usage inconsistent with routed edges at index %d", i)
+				}
+			}
+		})
 	}
-	r.NegotiateReroute(4)
-	if r.NumNets() != 16 {
-		t.Fatalf("negotiation lost nets: %d of 16 remain", r.NumNets())
-	}
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Recount usage from the surviving nets; it must match the arrays.
-	recount := NewRouter(r.Grid, r.Opt)
-	for _, rn := range r.nets {
-		for _, e := range rn.Edges {
-			recount.addUsage(e, 1, rn.ID)
-		}
-	}
-	for i := range r.usageH {
-		if r.usageH[i] != recount.usageH[i] || r.usageV[i] != recount.usageV[i] {
-			t.Fatalf("usage inconsistent with routed edges at index %d", i)
+}
+
+// TestRouteJobsRejectsInvalidJobs: a job with no pins or a lift above the
+// top layer fails the batch with the same *JobError under both strategies
+// and at every parallelism level, before anything routes — the wave path
+// once indexed the empty pin list and panicked.
+func TestRouteJobsRejectsInvalidJobs(t *testing.T) {
+	g := bigGrid()
+	for _, bad := range []struct {
+		name string
+		job  Job
+		msg  string
+	}{
+		{"no-pins", Job{ID: 900, MinLayer: 1}, "route: net 900 has no pins"},
+		{"lift-above-top", Job{ID: 901, Pins: []Pin{
+			{Pt: geom.Point{X: 100 * g.GCell, Y: 100 * g.GCell}, Layer: 1},
+			{Pt: geom.Point{X: 110 * g.GCell, Y: 100 * g.GCell}, Layer: 1},
+		}, MinLayer: g.Layers + 1}, "route: net 901 lift layer M11 above top layer M10"},
+	} {
+		jobs := scatteredJobs(40, g, 5)
+		jobs = append(jobs[:17:17], append([]Job{bad.job}, jobs[17:]...)...)
+		for _, strategy := range []Strategy{StrategyFlat, StrategyHier} {
+			for _, p := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%s/p%d", bad.name, strategy, p), func(t *testing.T) {
+					r := NewRouter(g, Options{Parallelism: p, Strategy: strategy})
+					err := r.RouteJobs(jobs)
+					var je *JobError
+					if !errors.As(err, &je) {
+						t.Fatalf("err = %v, want a *JobError", err)
+					}
+					if je.Index != 17 || je.ID != bad.job.ID || je.Error() != bad.msg {
+						t.Fatalf("JobError{Index: %d, ID: %d, %q}, want {17, %d, %q}",
+							je.Index, je.ID, je.Error(), bad.job.ID, bad.msg)
+					}
+					if n := r.NumNets(); n != 0 {
+						t.Fatalf("%d nets routed before the invalid job was rejected", n)
+					}
+				})
+			}
 		}
 	}
 }

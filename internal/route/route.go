@@ -19,9 +19,9 @@
 package route
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -180,8 +180,8 @@ type Router struct {
 	usageV []int16 // vertical segment usage
 	nets   map[int]*RoutedNet
 
-	// serial is the scratch worker incremental RouteNet calls route on;
-	// batched routing spins up additional workers (see batch.go).
+	// serial is the scratch worker routeSerial routes on; a parallel
+	// batch uses it as worker 0 and spins up the others (see batch.go).
 	serial *worker
 
 	// planner is the hierarchical strategy's coarse pass, created lazily
@@ -201,13 +201,7 @@ type Router struct {
 	// hierarchical strategy instead of re-opening die-sized flat searches.
 	// A successful flat re-route (RouteNet — the ECO path) or a rip-up
 	// invalidates the entry.
-	netCorrs map[int]storedCorridor
-}
-
-// storedCorridor is the persistent per-net copy of a planned corridor.
-type storedCorridor struct {
-	tiles []int32
-	reg   region
+	netCorrs map[int]corridor
 }
 
 // NewRouter creates a router over the grid. When Options.Capacity is zero
@@ -292,25 +286,52 @@ func (r *Router) Net(id int) *RoutedNet { return r.nets[id] }
 //
 //smlint:hot
 func (r *Router) RouteNet(id int, pins []Pin, minLayer int) error {
-	if len(pins) == 0 {
-		return fmt.Errorf("route: net %d has no pins", id)
+	return r.routeSerial(Job{ID: id, Pins: pins, MinLayer: minLayer}, nil)
+}
+
+// checkJob rejects a job no search can route: one with no pins, or one
+// lifted above the top layer.
+func (r *Router) checkJob(j Job) error {
+	if len(j.Pins) == 0 {
+		return fmt.Errorf("route: net %d has no pins", j.ID)
 	}
-	if minLayer > r.Grid.Layers {
-		return fmt.Errorf("route: net %d lift layer M%d above top layer M%d", id, minLayer, r.Grid.Layers)
+	if j.MinLayer > r.Grid.Layers {
+		return fmt.Errorf("route: net %d lift layer M%d above top layer M%d", j.ID, j.MinLayer, r.Grid.Layers)
 	}
-	old := r.nets[id]
-	rn, err := r.serial.routeNet(id, pins, minLayer, old, nil)
+	return nil
+}
+
+// routeSerial is the one serial per-net route behind RouteNet, the serial
+// batch schedule and negotiation. With c non-nil the search is confined
+// to that corridor, and a corridor failure is not fatal: the net retries
+// with the flat search (full detour loop), counted in
+// HierStats.FlatFallbacks. The route commits only on success (see
+// RouteNet).
+//
+//smlint:hot
+func (r *Router) routeSerial(j Job, c *corridor) error {
+	if err := r.checkJob(j); err != nil {
+		return err
+	}
+	old := r.nets[j.ID]
+	rn, err := r.serial.routeNet(j, old, c, nil)
+	if c != nil && errors.Is(err, errCorridor) {
+		r.hierStats.FlatFallbacks++
+		return r.routeSerial(j, nil)
+	}
 	if err != nil {
 		if old == nil {
-			r.nets[id] = rn // failed marker: no edges, no usage
+			r.nets[j.ID] = rn // failed marker: no edges, no usage
 		}
 		return err
 	}
 	r.commit(rn, old)
-	// A flat route supersedes any remembered corridor: the pins may have
-	// changed (ECO), and negotiation must not squeeze the new topology
-	// back into the old net's corridor.
-	delete(r.netCorrs, id)
+	if c == nil {
+		// A flat route supersedes any remembered corridor: the pins may
+		// have changed (ECO), and negotiation must not squeeze the new
+		// topology back into the old net's corridor.
+		delete(r.netCorrs, j.ID)
+	}
 	return nil
 }
 
@@ -354,23 +375,28 @@ func (r *Router) addUsage(e Edge, d int16, netID int) {
 	if e.IsVia() {
 		return
 	}
-	lo := e.A
-	if e.B.X < lo.X || e.B.Y < lo.Y {
-		lo = e.B
-	}
-	i := r.idx(lo)
-	u := r.usageV
-	dir := "vertical"
-	if e.A.Y == e.B.Y && e.A.X != e.B.X {
-		u = r.usageH
-		dir = "horizontal"
+	i, horizontal := r.slot(e)
+	u, dir := r.usageV, "vertical"
+	if horizontal {
+		u, dir = r.usageH, "horizontal"
 	}
 	s := int32(u[i]) + int32(d)
 	if s > math.MaxInt16 || s < math.MinInt16 {
+		lo := r.node(i)
 		panic(fmt.Sprintf("route: net %d: %s edge usage %d at M%d gcell (%d,%d) overflows int16",
 			netID, dir, s, lo.Z, lo.X, lo.Y))
 	}
 	u[i] = int16(s)
+}
+
+// slot locates the usage cell of wire edge e: the index of its lower node
+// and whether the edge runs horizontally.
+func (r *Router) slot(e Edge) (i int32, horizontal bool) {
+	lo := e.A
+	if e.B.X < lo.X || e.B.Y < lo.Y {
+		lo = e.B
+	}
+	return r.idx(lo), e.A.Y == e.B.Y && e.A.X != e.B.X
 }
 
 const viaBase = 10 // via cost = viaBase * Opt.ViaCost / 4
@@ -524,64 +550,62 @@ func adjacent(a, b Node) bool {
 // configured weight, not a compounded one. A net whose re-route fails
 // keeps its previous (congested but valid) route.
 //
-// Under the hierarchical strategy, nets that still have a remembered
-// corridor from the coarse pass re-route corridor-confined (falling back
-// to the flat search if the corridor is exhausted, like batched
-// refinement) — negotiation is where flat routing spends most of its
-// time on large dies, and it would otherwise reopen exactly the
-// die-sized searches the corridors were built to avoid. The loop is
-// serial and the corridors are a pure function of the batch history, so
-// the determinism contract is untouched.
+// Each re-route takes routeSerial, the path RouteNet takes. A net that
+// still has a remembered corridor from a hierarchical batch re-routes
+// corridor-confined (falling back to the flat search if the corridor is
+// exhausted, like batched refinement) — negotiation is where flat routing
+// spends most of its time on large dies, and it would otherwise reopen
+// exactly the die-sized searches the corridors were built to avoid. The
+// loop is serial, visits nets in ID order, and the corridors are a pure
+// function of the batch history, so the determinism contract is
+// untouched.
 func (r *Router) NegotiateReroute(iters int) {
 	orig := r.Opt.HistoryCost
 	defer func() { r.Opt.HistoryCost = orig }()
-	hier := r.ResolvedStrategy() == StrategyHier && r.planner != nil
+	// Re-routes replace routes and never add or drop a net, so one ID
+	// list serves every iteration.
+	all := r.SortedNetIDs()
+	var over []int
 	for it := 0; it < iters; it++ {
-		over := map[int]bool{}
-		for id, rn := range r.nets {
-			for _, e := range rn.Edges {
-				if e.IsVia() {
-					continue
-				}
-				lo := e.A
-				if e.B.X < lo.X || e.B.Y < lo.Y {
-					lo = e.B
-				}
-				var u int16
-				if e.A.Y == e.B.Y && e.A.X != e.B.X {
-					u = r.usageH[r.idx(lo)]
-				} else {
-					u = r.usageV[r.idx(lo)]
-				}
-				if int(u) > r.Opt.Capacity {
-					over[id] = true
-					break
-				}
+		over = over[:0]
+		for _, id := range all {
+			if r.overflows(r.nets[id]) {
+				over = append(over, id)
 			}
 		}
 		if len(over) == 0 {
 			return
 		}
-		ids := make([]int, 0, len(over))
-		for id := range over {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
 		r.Opt.HistoryCost *= 1.8
-		for _, id := range ids {
+		for _, id := range over {
 			rn := r.nets[id]
-			var err error
-			if c, ok := r.netCorrs[id]; hier && ok {
+			var c *corridor
+			if sc, ok := r.netCorrs[id]; ok {
 				r.hierStats.NegoCorridor++
-				err = r.routeNetCorridor(id, rn.Pins, rn.MinLayer, c.tiles, c.reg)
-			} else {
-				err = r.RouteNet(id, rn.Pins, rn.MinLayer)
+				c = &sc
 			}
-			if err != nil {
-				// The re-route left the old route fully intact; keep it — a
-				// congested route beats a destroyed one.
-				continue
-			}
+			// A failed re-route leaves the old route fully intact; keep
+			// it — a congested route beats a destroyed one.
+			_ = r.routeSerial(Job{ID: id, Pins: rn.Pins, MinLayer: rn.MinLayer}, c)
 		}
 	}
+}
+
+// overflows reports whether any of the net's wire edges sits on an
+// over-capacity usage cell.
+func (r *Router) overflows(rn *RoutedNet) bool {
+	for _, e := range rn.Edges {
+		if e.IsVia() {
+			continue
+		}
+		i, horizontal := r.slot(e)
+		u := r.usageV[i]
+		if horizontal {
+			u = r.usageH[i]
+		}
+		if int(u) > r.Opt.Capacity {
+			return true
+		}
+	}
+	return false
 }

@@ -91,10 +91,12 @@ func newWorker(r *Router) *worker {
 	}
 }
 
-// reset clears the usage overlay for the next net.
+// reset clears the usage overlay and disarms the corridor for the next
+// net.
 //
 //smlint:hot
 func (w *worker) reset() {
+	w.corrOn = false
 	for _, i := range w.touchedH {
 		w.deltaH[i] = 0
 	}
@@ -113,12 +115,7 @@ func (w *worker) addDelta(e Edge, d int16) {
 	if e.IsVia() {
 		return
 	}
-	lo := e.A
-	if e.B.X < lo.X || e.B.Y < lo.Y {
-		lo = e.B
-	}
-	i := w.r.idx(lo)
-	if e.A.Y == e.B.Y && e.A.X != e.B.X {
+	if i, horizontal := w.r.slot(e); horizontal {
 		if w.deltaH[i] == 0 {
 			w.touchedH = append(w.touchedH, i)
 		}
@@ -159,33 +156,38 @@ func (w *worker) segCost(lo Node, horizontal bool) int64 {
 	return base + int64(float64(base)*r.Opt.HistoryCost*float64(over+1))
 }
 
-// routeNet computes a route for the net without touching shared router
+// routeNet computes a route for job j without touching shared router
 // state. old, when non-nil, is the net's existing route: its usage is
 // masked out through the overlay, exactly as if it had been ripped up
-// first. bound, when non-nil, restricts every search to the given gcell
-// region (batched parallel mode): a search that would expand beyond it —
-// including the 4x detour retry — aborts with errEscaped instead, so a
-// result that might depend on concurrent neighbors is never produced.
+// first. c, when non-nil, confines every search to that corridor (see
+// setCorridor). bound, when non-nil, restricts every search to the given
+// gcell region (batched parallel mode): a search that would expand beyond
+// it — including the 4x detour retry — aborts with errEscaped instead, so
+// a result that might depend on concurrent neighbors is never produced.
 //
 // On success the returned net carries the new edges and the caller
 // commits them; on failure it is marked Failed with no edges, and shared
 // state is untouched either way.
 //
 //smlint:hot
-func (w *worker) routeNet(id int, pins []Pin, minLayer int, old *RoutedNet, bound *region) (*RoutedNet, error) {
+func (w *worker) routeNet(j Job, old *RoutedNet, c *corridor, bound *region) (*RoutedNet, error) {
 	defer w.reset()
+	if c != nil {
+		w.setCorridor(c)
+	}
+	pins := j.Pins
 	if old != nil {
 		for _, e := range old.Edges {
 			w.addDelta(e, -1)
 		}
 	}
-	rn := &RoutedNet{ID: id, Pins: append([]Pin(nil), pins...), MinLayer: minLayer}
+	rn := &RoutedNet{ID: j.ID, Pins: append([]Pin(nil), pins...), MinLayer: j.MinLayer}
 	if len(pins) == 1 {
 		return rn, nil
 	}
 	wireMin := 2
-	if minLayer > wireMin {
-		wireMin = minLayer
+	if j.MinLayer > wireMin {
+		wireMin = j.MinLayer
 	}
 
 	// Tree nodes so far (as indices); start from pin 0's grid node.
@@ -222,7 +224,7 @@ func (w *worker) routeNet(id int, pins []Pin, minLayer int, old *RoutedNet, boun
 			if errors.Is(err, errEscaped) || errors.Is(err, errCorridor) {
 				return rn, err
 			}
-			return rn, fmt.Errorf("route: net %d sink %d: %v", id, pi, err)
+			return rn, fmt.Errorf("route: net %d sink %d: %v", j.ID, pi, err)
 		}
 		for _, e := range path {
 			rn.Edges = append(rn.Edges, e)
@@ -247,27 +249,26 @@ func (w *worker) treeAdd(i int32) {
 // inTree reports membership in the current net's tree.
 func (w *worker) inTree(i int32) bool { return w.treeEp[i] == w.treeEpoch }
 
-// setCorridor arms the corridor mask for the next routeNet call: tiles
-// (planner tile indices) are stamped into an epoch set and wire moves
-// outside them are pruned. clearCorridor must be called once the net is
-// done — the mask is worker state, not per-search state.
+// setCorridor arms the corridor mask for the net routeNet is routing:
+// the corridor's tiles (planner tile indices) are stamped into an epoch
+// set and wire moves outside them are pruned. reset disarms it once the
+// net is done — the mask is worker state, not per-search state.
 //
 //smlint:hot
-func (w *worker) setCorridor(tw, th int, tiles []int32, reg region) {
+func (w *worker) setCorridor(c *corridor) {
+	tw, th := w.r.planner.tw, w.r.planner.th
 	if len(w.corrEp) < tw*th {
 		w.corrEp = make([]int32, tw*th)
 		w.corrEpoch = 0
 	}
 	w.corrTW = tw
 	w.corrEpoch++
-	for _, t := range tiles {
+	for _, t := range c.tiles {
 		w.corrEp[t] = w.corrEpoch
 	}
-	w.corrReg = reg
+	w.corrReg = c.reg
 	w.corrOn = true
 }
-
-func (w *worker) clearCorridor() { w.corrOn = false }
 
 // wireOK reports whether a wire move may enter gcell (x, y): always in
 // flat mode, corridor members only in hierarchical mode.
@@ -326,37 +327,38 @@ type region struct {
 	loX, loY, hiX, hiY int
 }
 
+// point is the one-gcell region at (x, y).
+func point(x, y int) region { return region{loX: x, loY: y, hiX: x, hiY: y} }
+
 func (a region) contains(b region) bool {
 	return b.loX >= a.loX && b.loY >= a.loY && b.hiX <= a.hiX && b.hiY <= a.hiY
+}
+
+// add grows the region to cover gcell (x, y).
+func (a *region) add(x, y int) {
+	a.loX, a.loY = min(a.loX, x), min(a.loY, y)
+	a.hiX, a.hiY = max(a.hiX, x), max(a.hiY, y)
+}
+
+// expand grows the region by m gcells on every side, clamped to the grid.
+func (a region) expand(m int, g Grid) region {
+	return region{
+		loX: geom.Clamp(a.loX-m, 0, g.W-1),
+		loY: geom.Clamp(a.loY-m, 0, g.H-1),
+		hiX: geom.Clamp(a.hiX+m, 0, g.W-1),
+		hiY: geom.Clamp(a.hiY+m, 0, g.H-1),
+	}
 }
 
 // searchRegion is the clamped bounding box of the tree and target expanded
 // by detour gcells.
 func (w *worker) searchRegion(target Node, detour int) region {
-	g := w.r.Grid
-	loX, loY := target.X, target.Y
-	hiX, hiY := target.X, target.Y
+	reg := point(target.X, target.Y)
 	for _, t := range w.treeList {
 		n := w.r.node(t)
-		if n.X < loX {
-			loX = n.X
-		}
-		if n.Y < loY {
-			loY = n.Y
-		}
-		if n.X > hiX {
-			hiX = n.X
-		}
-		if n.Y > hiY {
-			hiY = n.Y
-		}
+		reg.add(n.X, n.Y)
 	}
-	return region{
-		loX: geom.Clamp(loX-detour, 0, g.W-1),
-		loY: geom.Clamp(loY-detour, 0, g.H-1),
-		hiX: geom.Clamp(hiX+detour, 0, g.W-1),
-		hiY: geom.Clamp(hiY+detour, 0, g.H-1),
-	}
+	return reg.expand(detour, w.r.Grid)
 }
 
 //smlint:hot
