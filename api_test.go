@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -126,46 +128,70 @@ func TestEvaluateCancellation(t *testing.T) {
 
 // TestProgressEventOrdering: Protect must report stages in flow order
 // within each escalation attempt, and serial Evaluate must report attack
-// layers in the requested order.
+// layers in the requested order. With one route worker Protect builds the
+// baseline before attempt 1, so the baseline's events come first. With
+// two, the baseline is built alongside attempt 1 and its events — attempt
+// 0, detail "baseline", in their own place-then-route order — may
+// interleave with attempt 1's.
 func TestProgressEventOrdering(t *testing.T) {
 	design, err := LoadBenchmark("c432")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var events []ProgressEvent
-	record := func(ev ProgressEvent) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
+	for _, tc := range []struct {
+		routePar      int
+		baselineFirst bool
+	}{
+		{1, true},
+		{2, false},
+	} {
+		t.Run(fmt.Sprintf("WithRouteParallelism(%d)", tc.routePar), func(t *testing.T) {
+			var mu sync.Mutex
+			var events []ProgressEvent
+			record := func(ev ProgressEvent) {
+				mu.Lock()
+				events = append(events, ev)
+				mu.Unlock()
+			}
+			pipe := New(fastOptions(WithProgress(record), WithParallelism(1), WithSplitLayers(3, 4, 5),
+				WithRouteParallelism(tc.routePar))...)
+			ctx := context.Background()
+			res, err := pipe.Protect(ctx, design)
+			if err != nil {
+				t.Fatal(err)
+			}
+			protectEvents := append([]ProgressEvent(nil), events...)
+			events = nil
+			if _, err := pipe.Evaluate(ctx, res.ProtectedLayout()); err != nil {
+				t.Fatal(err)
+			}
+			attackEvents := append([]ProgressEvent(nil), events...)
+			checkProtectEventOrder(t, protectEvents, tc.baselineFirst)
+			checkAttackEventOrder(t, attackEvents)
+		})
 	}
-	pipe := New(fastOptions(WithProgress(record), WithParallelism(1), WithSplitLayers(3, 4, 5))...)
-	ctx := context.Background()
-	res, err := pipe.Protect(ctx, design)
-	if err != nil {
-		t.Fatal(err)
-	}
-	protectEvents := append([]ProgressEvent(nil), events...)
-	events = nil
-	if _, err := pipe.Evaluate(ctx, res.ProtectedLayout()); err != nil {
-		t.Fatal(err)
-	}
-	attackEvents := append([]ProgressEvent(nil), events...)
+}
 
-	// Baseline build precedes protected work; within an attempt the stages
-	// follow the flow order.
+// checkProtectEventOrder checks that Protect's baseline events carry
+// attempt 0 and come in build order (place, then route), and that within
+// each escalation attempt the stages follow the flow order. With
+// baselineFirst the baseline build must also precede protected work.
+func checkProtectEventOrder(t *testing.T, events []ProgressEvent, baselineFirst bool) {
+	t.Helper()
 	order := map[Stage]int{
 		StageRandomize: 0, StagePlace: 1, StageLift: 2, StageRoute: 3,
 		StageRestore: 4, StageVerify: 5, StagePPA: 6,
 	}
-	if len(protectEvents) == 0 {
+	if len(events) == 0 {
 		t.Fatal("no progress events from Protect")
 	}
-	if protectEvents[0].Detail != "baseline" || protectEvents[0].Stage != StagePlace {
-		t.Fatalf("first event = %+v, want baseline place", protectEvents[0])
+	if baselineFirst && (events[0].Detail != "baseline" || events[0].Stage != StagePlace) {
+		t.Fatalf("first event = %+v, want baseline place", events[0])
 	}
+	var baseline []Stage
+	protected := false
 	lastAttempt, lastOrder := 0, -1
-	for _, ev := range protectEvents {
+	for _, ev := range events {
 		if ev.Stage == StageRouteWave {
 			// Wave events interleave with the route stage they belong to;
 			// they carry their own sub-ordering, not the flow order.
@@ -175,7 +201,15 @@ func TestProgressEventOrdering(t *testing.T) {
 			if ev.Attempt != 0 {
 				t.Fatalf("baseline event with attempt %d: %+v", ev.Attempt, ev)
 			}
+			if baselineFirst && protected {
+				t.Fatalf("baseline event after protected work: %+v", ev)
+			}
+			baseline = append(baseline, ev.Stage)
 			continue
+		}
+		protected = true
+		if ev.Attempt < 1 {
+			t.Fatalf("protected event with attempt %d: %+v", ev.Attempt, ev)
 		}
 		if ev.Attempt < lastAttempt {
 			t.Fatalf("attempt went backwards: %+v after attempt %d", ev, lastAttempt)
@@ -192,13 +226,20 @@ func TestProgressEventOrdering(t *testing.T) {
 		}
 		lastOrder = o
 	}
+	if want := []Stage{StagePlace, StageRoute}; !slices.Equal(baseline, want) {
+		t.Fatalf("baseline stages %v, want %v", baseline, want)
+	}
+}
 
-	// Serial Evaluate reports attack layers in request order with timings.
-	if len(attackEvents) != 3 {
-		t.Fatalf("got %d attack events, want 3: %+v", len(attackEvents), attackEvents)
+// checkAttackEventOrder checks that serial Evaluate reports attack layers
+// in request order with timings.
+func checkAttackEventOrder(t *testing.T, events []ProgressEvent) {
+	t.Helper()
+	if len(events) != 3 {
+		t.Fatalf("got %d attack events, want 3: %+v", len(events), events)
 	}
 	for i, want := range []int{3, 4, 5} {
-		ev := attackEvents[i]
+		ev := events[i]
 		if ev.Stage != StageAttack || ev.Layer != want {
 			t.Fatalf("attack event %d = %+v, want layer %d", i, ev, want)
 		}

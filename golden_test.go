@@ -87,7 +87,9 @@ func TestGoldenProtectAndSecurityReports(t *testing.T) {
 // determinism contract at the report level. A serial-routing run
 // (WithRouteParallelism(1)) and an explicitly parallel one must both
 // reproduce the same golden bytes the default configuration is pinned to
-// — protect and security reports alike.
+// — protect and security reports alike. At 2, Protect builds the baseline
+// alongside attempt 1 and each build routes serially, the schedule the
+// protect-c7552 benchmark runs on a two-core machine.
 func TestGoldenReportsRouteSerialVsParallel(t *testing.T) {
 	design, err := LoadBenchmark("c432")
 	if err != nil {
@@ -99,6 +101,7 @@ func TestGoldenReportsRouteSerialVsParallel(t *testing.T) {
 		par  int
 	}{
 		{"serial", 1},
+		{"parallel2", 2},
 		{"parallel4", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -70,7 +70,11 @@ type Event struct {
 
 // ProgressFunc receives stage-completion events. It may be called from
 // multiple goroutines during parallel evaluation, but calls are always
-// serialized — implementations need no locking of their own.
+// serialized — implementations need no locking of their own. Events of
+// one build or attempt arrive in stage order. Protect's baseline events
+// (Attempt 0, Detail "baseline") come before attempt 1's only when it
+// routes on one worker; otherwise the baseline is built alongside
+// attempt 1 and the two streams may interleave.
 type ProgressFunc func(Event)
 
 // Config parameterizes the protection flow.
@@ -187,25 +191,58 @@ type ProtectResult struct {
 // budget, halving the swap count while the budget is exceeded. The context
 // is checked at every stage boundary of every escalation attempt;
 // cancellation returns ctx.Err() promptly.
+//
+// The unprotected baseline only prices each attempt's overhead and does
+// not depend on the randomization, so it is built alongside attempt 1's
+// randomization and protected build, each routing on half of the route
+// workers; later attempts get all of them. With one route worker the two
+// run in turn, baseline first, which is the serial schedule. Results do
+// not depend on the schedule: the two builds share no mutable state and
+// routing is byte-identical at every parallelism. When both fail, the
+// baseline's error is returned, as the serial schedule would.
 func Protect(ctx context.Context, original *netlist.Netlist, lib *cell.Library, cfg Config) (*ProtectResult, error) {
 	cfg = cfg.withDefaults()
 	em := newEmitter(cfg.Progress)
+	rp := cfg.RouteParallelism
+	if rp <= 0 {
+		rp = runtime.GOMAXPROCS(0)
+	}
 	copt := correction.Options{
 		LiftLayer: cfg.LiftLayer, UtilPercent: cfg.UtilPercent, Seed: cfg.Seed,
-		RouteOpt: route.Options{Parallelism: cfg.RouteParallelism, Strategy: cfg.RouteStrategy,
-			OnWave: em.observeWaves(0, "baseline")},
-		Observe: em.observe(0, "baseline"),
+		RouteOpt: route.Options{Parallelism: rp, Strategy: cfg.RouteStrategy},
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	baseline, err := correction.BuildOriginal(original, lib, copt)
-	if err != nil {
-		return nil, fmt.Errorf("flow: baseline: %v", err)
-	}
-	basePPA, err := timing.AnalyzeDesign(baseline, lib)
-	if err != nil {
-		return nil, err
+
+	// The baseline and attempt 1's build each route on half the workers.
+	// A failed baseline makes attempt 1 moot: cancel it at its next stage
+	// boundary, or before it starts when the two run in turn.
+	var (
+		baseline *layout.Design
+		basePPA  timing.PPA
+		r1       *randomize.Result
+		p1       *correction.Protected
+		errs     [2]error
+	)
+	half := copt
+	half.RouteOpt.Parallelism = max(rp/2, 1)
+	actx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	par.ForEach(2, min(rp, 2), func(_, i int) {
+		if i == 0 {
+			baseline, basePPA, errs[0] = buildBaseline(original, lib, half, em)
+			if errs[0] != nil {
+				cancel()
+			}
+			return
+		}
+		r1, p1, errs[1] = buildAttempt(actx, original, lib, cfg, half, em, 0, 0)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	// Fig. 2's loop: first randomize until OER ≈ 100%, then keep adding
@@ -219,38 +256,18 @@ func Protect(ctx context.Context, original *netlist.Netlist, lib *cell.Library, 
 	maxSwaps := 0 // first pass: whatever the OER target needs
 	var within, last *ProtectResult
 	for attempt := 0; attempt < cfg.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		copt.Observe = em.observe(attempt+1, "protected")
-		copt.RouteOpt.OnWave = em.observeWaves(attempt+1, "protected")
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		target := cfg.TargetOER
+		r, p := r1, p1
 		if attempt > 0 {
-			target = 2 // beyond-reachable: the swap cap governs escalation
-		}
-		start := time.Now()
-		r, err := randomize.Randomize(original, rng, randomize.Options{
-			TargetOER: target,
-			MaxSwaps:  maxSwaps,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("flow: randomize: %v", err)
-		}
-		em.emit(Event{Stage: StageRandomize, Attempt: attempt + 1,
-			Detail: fmt.Sprintf("%d swaps, OER %.3f", len(r.Swaps), r.OER), Elapsed: time.Since(start)})
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		p, err := correction.BuildProtected(original, r, lib, copt)
-		if err != nil {
-			return nil, fmt.Errorf("flow: protect: %v", err)
+			var err error
+			if r, p, err = buildAttempt(ctx, original, lib, cfg, copt, em, attempt, maxSwaps); err != nil {
+				return nil, err
+			}
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		// Verify restoration (the paper's Formality step).
-		start = time.Now()
+		start := time.Now()
 		rec, err := p.RestoredNetlist()
 		if err != nil {
 			return nil, err
@@ -290,6 +307,56 @@ func Protect(ctx context.Context, original *netlist.Netlist, lib *cell.Library, 
 		return within, nil
 	}
 	return last, nil
+}
+
+// buildBaseline places, routes and analyzes the unprotected baseline.
+func buildBaseline(original *netlist.Netlist, lib *cell.Library, copt correction.Options, em *emitter) (*layout.Design, timing.PPA, error) {
+	copt.Observe = em.observe(0, "baseline")
+	copt.RouteOpt.OnWave = em.observeWaves(0, "baseline")
+	baseline, err := correction.BuildOriginal(original, lib, copt)
+	if err != nil {
+		return nil, timing.PPA{}, fmt.Errorf("flow: baseline: %v", err)
+	}
+	basePPA, err := timing.AnalyzeDesign(baseline, lib)
+	if err != nil {
+		return nil, timing.PPA{}, err
+	}
+	return baseline, basePPA, nil
+}
+
+// buildAttempt randomizes the netlist for escalation attempt attempt
+// (0-based) under a cap of maxSwaps swaps (0 = whatever the OER target
+// needs) and builds the protected layout.
+func buildAttempt(ctx context.Context, original *netlist.Netlist, lib *cell.Library, cfg Config,
+	copt correction.Options, em *emitter, attempt, maxSwaps int) (*randomize.Result, *correction.Protected, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	copt.Observe = em.observe(attempt+1, "protected")
+	copt.RouteOpt.OnWave = em.observeWaves(attempt+1, "protected")
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	target := cfg.TargetOER
+	if attempt > 0 {
+		target = 2 // beyond-reachable: the swap cap governs escalation
+	}
+	start := time.Now()
+	r, err := randomize.Randomize(original, rng, randomize.Options{
+		TargetOER: target,
+		MaxSwaps:  maxSwaps,
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("flow: randomize: %v", err)
+	}
+	em.emit(Event{Stage: StageRandomize, Attempt: attempt + 1,
+		Detail: fmt.Sprintf("%d swaps, OER %.3f", len(r.Swaps), r.OER), Elapsed: time.Since(start)})
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	p, err := correction.BuildProtected(original, r, lib, copt)
+	if err != nil {
+		return nil, nil, fmt.Errorf("flow: protect: %v", err)
+	}
+	return r, p, nil
 }
 
 // EvalOptions parameterizes EvaluateSecurity.

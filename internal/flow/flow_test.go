@@ -2,6 +2,7 @@ package flow
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -85,6 +86,40 @@ func TestPPAWithinBudgetOrBackoff(t *testing.T) {
 	}
 	t.Logf("c432: swaps=%d power=%.1f%% delay=%.1f%% (budget %.0f%%)",
 		res.Swaps, res.PowerOH, res.DelayOH, res.Budget)
+}
+
+// TestProtectErrorSameAtEveryRouteParallelism: Protect builds the baseline
+// alongside attempt 1 when it has more than one route worker, but must
+// fail exactly as the serial schedule does. When only attempt 1 fails (no
+// correction cell for M7), its error is returned; when both fail (a
+// utilization the placer rejects), the baseline's is.
+func TestProtectErrorSameAtEveryRouteParallelism(t *testing.T) {
+	nl, err := bench.ISCAS85("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := cell.NewNangate45Like()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"attempt fails", Config{LiftLayer: 7},
+			"flow: protect: cell: no correction cell for layer M7"},
+		{"both fail", Config{UtilPercent: 99},
+			"flow: baseline: place: utilization 99% out of range (1..95)"},
+	} {
+		for _, rp := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/route%d", tc.name, rp), func(t *testing.T) {
+				cfg := tc.cfg
+				cfg.Seed, cfg.MaxAttempts, cfg.RouteParallelism = 1, 1, rp
+				_, err := Protect(context.Background(), nl, lib, cfg)
+				if err == nil || err.Error() != tc.want {
+					t.Fatalf("Protect error %v, want %q", err, tc.want)
+				}
+			})
+		}
+	}
 }
 
 func TestEvaluateSecurityEmptyLayers(t *testing.T) {

@@ -34,6 +34,12 @@ import (
 // trusted against either flat or hier requests.
 const suiteKeySchema = 2
 
+// suiteKeyGoldens is the SHA-256 fingerprint of testdata/golden/* that
+// suiteKeySchema was last reviewed against. A test recomputes it, so a
+// change that moves a golden fails until this line is updated — and
+// whoever updates it bumps suiteKeySchema too if results moved.
+const suiteKeyGoldens = "8a733a53922ddc331cee5c08c95367db3b542c176c7485e222564d5c59acb69f"
+
 // Suite-level stages, emitted through the same ProgressFunc stream the
 // rest of the flow uses.
 const (

@@ -25,6 +25,12 @@ import (
 // strategy, including the implicit auto.
 const resultKeySchema = 2
 
+// resultKeyGoldens is the SHA-256 fingerprint of testdata/golden/* that
+// resultKeySchema was last reviewed against. A test recomputes it, so a
+// change that moves a golden fails until this line is updated — and
+// whoever updates it bumps resultKeySchema too if reports moved.
+const resultKeyGoldens = "8a733a53922ddc331cee5c08c95367db3b542c176c7485e222564d5c59acb69f"
+
 // Submission errors the handlers map to HTTP status codes.
 var (
 	// ErrQueueFull means the bounded run queue has no room; clients should

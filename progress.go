@@ -9,11 +9,14 @@ import (
 
 // Stage identifies a phase of the protection flow or the attack loop.
 // Protect passes through StageRandomize, StagePlace, StageLift, StageRoute,
-// StageRestore, StageVerify, and StagePPA once per escalation attempt
-// (plus StagePlace/StageRoute with Detail "baseline" for the reference
-// layout); Evaluate emits one StageAttack event per split layer; Suite
-// emits one StageSuiteBaseline event per benchmark and one StageSuiteCell
-// event per (benchmark, defense, replicate) cell.
+// StageRestore, StageVerify, and StagePPA once per escalation attempt,
+// plus StagePlace then StageRoute with Attempt 0 and Detail "baseline" for
+// the reference layout. With one route worker (WithRouteParallelism(1))
+// the baseline is built first, so its events lead; with more, it is built
+// alongside attempt 1 and its events may interleave with attempt 1's.
+// Evaluate emits one StageAttack event per split layer; Suite emits one
+// StageSuiteBaseline event per benchmark and one StageSuiteCell event per
+// (benchmark, defense, replicate) cell.
 type Stage = flow.Stage
 
 // Stages, in the order the pipeline passes through them.
@@ -48,7 +51,10 @@ const (
 type ProgressEvent = flow.Event
 
 // ProgressFunc receives stage-completion events. Calls are serialized even
-// during parallel evaluation, so implementations need no locking.
+// during parallel evaluation, so implementations need no locking. Events
+// of one build or attempt arrive in stage order; events of builds that
+// run concurrently (Protect's baseline and attempt 1, parallel layers,
+// suite cells) may interleave.
 type ProgressFunc = flow.ProgressFunc
 
 // ProgressLogger returns a ProgressFunc that writes one line per event to
