@@ -25,7 +25,7 @@ package proximity
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"splitmfg/internal/geom"
 	"splitmfg/internal/layout"
@@ -212,7 +212,7 @@ func Attack(ctx context.Context, d *layout.Design, sv *layout.SplitView, opt Opt
 			sc = append(sc, scored{di, cost})
 		}
 		scBuf = sc
-		sort.Slice(sc, func(a, b int) bool { return sc[a].cost < sc[b].cost })
+		slices.SortFunc(sc, func(a, b scored) int { return cmpCost(a.cost, b.cost) })
 		if len(sc) > opt.Candidates {
 			sc = sc[:opt.Candidates]
 		}
@@ -254,12 +254,23 @@ func Attack(ctx context.Context, d *layout.Design, sv *layout.SplitView, opt Opt
 		cost float64
 	}
 	erefs := make([]edgeRef, 0, len(all))
+	// No assignment is committed yet, so `known` is fixed for the whole
+	// static filter. `all` is grouped by sink: each sink gate's fan-out
+	// cone is walked once, and each of its candidate drivers becomes a
+	// membership test (cone.Has(d) == wouldLoop(known, d, sg)).
+	var cone netlist.Cone
+	coneGate := -1
 	for _, c := range all {
 		dd := &dinfos[c.didx]
 		if opt.LoopAware && dd.gate >= 0 {
 			sg := sinkGate[c.sink]
-			if sg >= 0 && wouldLoop(known, dd.gate, sg) {
-				continue // statically infeasible
+			if sg >= 0 {
+				if sg != coneGate {
+					cone, coneGate = known.FanoutCone(sg), sg
+				}
+				if cone.Has(dd.gate) {
+					continue // statically infeasible
+				}
 			}
 		}
 		id := g.addEdge(1+c.didx, 1+len(dinfos)+sinkIdx[c.sink], 1, int64(c.cost))
@@ -276,11 +287,11 @@ func Attack(ctx context.Context, d *layout.Design, sv *layout.SplitView, opt Opt
 	// cost order: cheap (confident) assignments commit first; any
 	// assignment that would close a loop against the committed prefix is
 	// re-matched greedily to its next-best loop-free candidate.
-	sort.Slice(erefs, func(a, b int) bool {
-		if erefs[a].cost != erefs[b].cost {
-			return erefs[a].cost < erefs[b].cost
+	slices.SortFunc(erefs, func(a, b edgeRef) int {
+		if c := cmpCost(a.cost, b.cost); c != 0 {
+			return c
 		}
-		return erefs[a].sink < erefs[b].sink
+		return a.sink - b.sink
 	})
 	assigned := make([]bool, len(sv.Frags))
 	commit := func(sink, didx int) {
@@ -298,7 +309,7 @@ func Attack(ctx context.Context, d *layout.Design, sv *layout.SplitView, opt Opt
 		return sg < 0 || !wouldLoop(known, dinfos[didx].gate, sg)
 	}
 	for _, er := range erefs {
-		if g.cap[er.id] != 0 || assigned[er.sink] {
+		if g.residual(er.id) != 0 || assigned[er.sink] {
 			continue // not used by the flow, or sink already committed
 		}
 		if feasible(er.sink, er.didx) {
@@ -316,6 +327,24 @@ func Attack(ctx context.Context, d *layout.Design, sv *layout.SplitView, opt Opt
 		}
 	}
 	return res, nil
+}
+
+// cmpCost orders candidate costs for slices.SortFunc. Costs are never NaN,
+// so plain comparisons suffice; cmp.Compare's NaN handling is measurable
+// in the attack's profile. Candidate order, ties included, reaches every
+// golden report: slices.SortFunc runs sort.Slice's pdqsort and makes the
+// same comparisons, so a comparator with cmpCost(a, b) < 0 exactly when
+// a < b keeps the permutation a `<` less function gives.
+//
+//smlint:hot
+func cmpCost(a, b float64) int {
+	if a < b {
+		return -1
+	}
+	if a > b {
+		return 1
+	}
+	return 0
 }
 
 // appendFragDirs appends the dangling directions of a fragment's vpins to

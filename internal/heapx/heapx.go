@@ -8,10 +8,15 @@
 // The order in which equal priorities pop is a contract, not an accident:
 // A* frontiers, the coarse pass and the MCMF solve all break ties through
 // it, so every golden report depends on it. Push and Pop sift a hole
-// instead of swapping, but make exactly the comparisons of the textbook
-// swap heap (the test keeps that heap as a reference), so every
-// intermediate array state, and with it the tie order, is the swap
-// heap's.
+// instead of swapping, and every intermediate array state, and with it
+// the tie order, is the textbook swap heap's (the test keeps that heap as
+// a reference). Push makes exactly the swap heap's comparisons. Pop is
+// bottom-up: it walks the hole down the smaller-child path to a leaf, one
+// comparison per level with the left child winning ties as in the swap
+// heap, then moves the last element back up past every path element not
+// smaller than it. That lands it exactly where the swap heap's sift-down
+// stops, with about half the data-dependent branches: the last element
+// usually belongs near the bottom, so the way back up is short.
 package heapx
 
 // Item is one heap element: an int64 priority and a payload. Min-heap:
@@ -48,20 +53,30 @@ func Pop[V any](h []Item[V]) ([]Item[V], Item[V]) {
 	if n == 0 {
 		return h, top
 	}
+	// Down: move the smaller child up into the hole until the hole is a
+	// leaf (r is the hole's right child; an only left child comes last).
 	i := 0
-	for {
-		small, pri := i, last.Pri
-		if l := 2*i + 1; l < n && h[l].Pri < pri {
-			small, pri = l, h[l].Pri
+	for r := 2; r < n; r = 2*i + 2 {
+		c := r - 1
+		if h[r].Pri < h[c].Pri {
+			c = r
 		}
-		if r := 2*i + 2; r < n && h[r].Pri < pri {
-			small = r
-		}
-		if small == i {
+		h[i] = h[c]
+		i = c
+	}
+	if l := 2*i + 1; l < n {
+		h[i] = h[l]
+		i = l
+	}
+	// Up: the swap heap stops above the first path element that is not
+	// smaller than last, so move those back down.
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].Pri < last.Pri {
 			break
 		}
-		h[i] = h[small]
-		i = small
+		h[i] = h[p]
+		i = p
 	}
 	h[i] = last
 	return h, top

@@ -153,11 +153,12 @@ type Netlist struct {
 	// squeezes everything onto one exact-size array.
 	faninArena []int
 
-	// Epoch-stamped scratch for PathExists: pathSeen[g] == pathEpoch means
-	// "visited this query". Reused across calls so the loop-safety oracle
-	// (hammered once per candidate edge by defense randomization and the
-	// proximity attack) allocates nothing. Makes PathExists unsafe for
-	// concurrent use on one Netlist; all callers are sequential-per-netlist.
+	// Epoch-stamped scratch for walkFanout, the walk behind PathExists and
+	// FanoutCone: pathSeen[g] == pathEpoch means "visited this walk".
+	// Reused across calls so the loop-safety oracle (hammered once per
+	// candidate edge by defense randomization, once per sink by the
+	// proximity attack) allocates nothing. Makes both unsafe for concurrent
+	// use on one Netlist; all callers are sequential-per-netlist.
 	pathSeen  []int32
 	pathEpoch int32
 	pathStack []int

@@ -95,6 +95,45 @@ func (nl *Netlist) PathExists(from, to int) bool {
 	if from == to {
 		return true
 	}
+	return nl.walkFanout(from, to)
+}
+
+// Cone is the forward combinational cone of one gate, as FanoutCone stamped
+// it into the netlist's walk scratch. It is valid until the next
+// FanoutCone or PathExists call on the same netlist.
+type Cone struct {
+	nl   *Netlist
+	from int
+	ep   int32
+}
+
+// FanoutCone stamps the forward combinational cone of gate `from` once, so
+// that many PathExists(from, ·) questions against an unchanged netlist
+// become membership tests: Cone.Has(to) == PathExists(from, to) for every
+// gate `to`. The walk and its stop-at-sequential rule are PathExists's.
+func (nl *Netlist) FanoutCone(from int) Cone {
+	nl.walkFanout(from, -1)
+	return Cone{nl: nl, from: from, ep: nl.pathEpoch}
+}
+
+// Has reports whether PathExists(from, g) holds for the cone's gate
+// `from`. It panics if another walk on the netlist has reused the scratch
+// since the cone was stamped.
+func (c Cone) Has(g int) bool {
+	if c.nl.pathEpoch != c.ep {
+		panic("netlist: Cone used after another walk on its netlist")
+	}
+	return g == c.from || c.nl.pathSeen[g] == c.ep
+}
+
+// walkFanout is the forward walk behind PathExists and FanoutCone: a DFS
+// over combinational fan-out from the output of gate `from`. It expands
+// `from` even when that is sequential, but stops at every later sequential
+// gate. Each gate reached as a sink is stamped with a fresh epoch in
+// pathSeen (`from` is stamped up front). With stop >= 0 the walk returns
+// true as soon as it reaches stop; with stop < 0 it stamps the whole cone
+// and returns false.
+func (nl *Netlist) walkFanout(from, stop int) bool {
 	// Epoch-stamped visited scratch: zero-fill only when the gate count
 	// outgrew the buffer or the epoch counter wrapped, not per query.
 	if len(nl.pathSeen) < len(nl.Gates) || nl.pathEpoch == math.MaxInt32 {
@@ -106,17 +145,15 @@ func (nl *Netlist) PathExists(from, to int) bool {
 	seen := nl.pathSeen
 	stack := append(nl.pathStack[:0], from)
 	seen[from] = ep
-	first := true
+	//smlint:bounded each gate is stamped at most once per epoch, and only a newly stamped gate is pushed
 	for len(stack) > 0 {
 		gid := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		g := nl.Gates[gid]
-		if g.Type.IsSequential() && !first {
+		if gid != from && nl.Gates[gid].Type.IsSequential() {
 			continue
 		}
-		first = false
-		for _, s := range nl.Nets[g.Out].Sinks {
-			if s.Gate == to {
+		for _, s := range nl.Nets[nl.Gates[gid].Out].Sinks {
+			if s.Gate == stop {
 				nl.pathStack = stack[:0]
 				return true
 			}
