@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -132,20 +131,29 @@ func TestEvaluateCancellation(t *testing.T) {
 // baseline before attempt 1, so the baseline's events come first. With
 // two, the baseline is built alongside attempt 1 and its events — attempt
 // 0, detail "baseline", in their own place-then-route order — may
-// interleave with attempt 1's.
+// interleave with attempt 1's. Attempt 2 is then built speculatively
+// alongside attempt 1, but its events are held back until the loop
+// reaches it, so attempts never go backwards, and a loop that stops at
+// attempt 1 (a budget no attempt meets) reports nothing of attempt 2.
 func TestProgressEventOrdering(t *testing.T) {
 	design, err := LoadBenchmark("c432")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		routePar      int
+		name          string
+		opts          []Option
 		baselineFirst bool
+		lastAttempt   int // the attempt the loop stops at
 	}{
-		{1, true},
-		{2, false},
+		{"WithRouteParallelism(1)", []Option{WithRouteParallelism(1)}, true, 1},
+		{"WithRouteParallelism(2)", []Option{WithRouteParallelism(2)}, false, 1},
+		{"WithMaxAttempts(3)/WithPPABudget(50)/WithRouteParallelism(2)",
+			[]Option{WithMaxAttempts(3), WithPPABudget(50), WithRouteParallelism(2)}, false, 3},
+		{"WithMaxAttempts(3)/WithPPABudget(0.01)/WithRouteParallelism(2)",
+			[]Option{WithMaxAttempts(3), WithPPABudget(0.01), WithRouteParallelism(2)}, false, 1},
 	} {
-		t.Run(fmt.Sprintf("WithRouteParallelism(%d)", tc.routePar), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			var mu sync.Mutex
 			var events []ProgressEvent
 			record := func(ev ProgressEvent) {
@@ -153,8 +161,8 @@ func TestProgressEventOrdering(t *testing.T) {
 				events = append(events, ev)
 				mu.Unlock()
 			}
-			pipe := New(fastOptions(WithProgress(record), WithParallelism(1), WithSplitLayers(3, 4, 5),
-				WithRouteParallelism(tc.routePar))...)
+			opts := append([]Option{WithProgress(record), WithParallelism(1), WithSplitLayers(3, 4, 5)}, tc.opts...)
+			pipe := New(fastOptions(opts...)...)
 			ctx := context.Background()
 			res, err := pipe.Protect(ctx, design)
 			if err != nil {
@@ -168,6 +176,13 @@ func TestProgressEventOrdering(t *testing.T) {
 			attackEvents := append([]ProgressEvent(nil), events...)
 			checkProtectEventOrder(t, protectEvents, tc.baselineFirst)
 			checkAttackEventOrder(t, attackEvents)
+			last := 0
+			for _, ev := range protectEvents {
+				last = max(last, ev.Attempt)
+			}
+			if last != tc.lastAttempt {
+				t.Fatalf("events reach attempt %d, want the loop's last attempt %d", last, tc.lastAttempt)
+			}
 		})
 	}
 }

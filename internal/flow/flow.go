@@ -71,10 +71,15 @@ type Event struct {
 // ProgressFunc receives stage-completion events. It may be called from
 // multiple goroutines during parallel evaluation, but calls are always
 // serialized — implementations need no locking of their own. Events of
-// one build or attempt arrive in stage order. Protect's baseline events
-// (Attempt 0, Detail "baseline") come before attempt 1's only when it
-// routes on one worker; otherwise the baseline is built alongside
-// attempt 1 and the two streams may interleave.
+// one build or attempt arrive in stage order. With more than one route
+// worker Protect builds the baseline (Attempt 0, Detail "baseline")
+// alongside attempt 1, so the two streams may interleave; with one, the
+// baseline's events come first. Only the baseline and the attempt
+// Protect's loop is on report live. Attempt 2, built alongside attempt 1
+// ahead of the loop (see Protect), has its events, randomize and route
+// waves included, held back and delivered in order when the loop reaches
+// it, so the attempt number never goes backwards; if the loop stops at
+// attempt 1 it is discarded and reports nothing.
 type ProgressFunc func(Event)
 
 // Config parameterizes the protection flow.
@@ -130,9 +135,14 @@ func (c Config) withDefaults() Config {
 }
 
 // emitter serializes progress callbacks; a nil emitter drops all events.
+// Inside Protect it also holds back the events of attempts later than the
+// one the escalation loop is on, until the loop reaches them (see reach).
+// Elsewhere attempt stays 0 and every event goes straight through.
 type emitter struct {
-	mu sync.Mutex
-	fn ProgressFunc
+	mu      sync.Mutex
+	fn      ProgressFunc
+	attempt int     // the attempt Protect's loop is on; 0 holds nothing back
+	held    []Event // events of later attempts, in emission order
 }
 
 func newEmitter(fn ProgressFunc) *emitter {
@@ -147,8 +157,29 @@ func (e *emitter) emit(ev Event) {
 		return
 	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.attempt > 0 && ev.Attempt > e.attempt {
+		e.held = append(e.held, ev)
+		return
+	}
 	e.fn(ev)
-	e.mu.Unlock()
+}
+
+// reach moves Protect's loop on to attempt and delivers the held events,
+// in emission order. Protect builds at most one attempt ahead of its loop,
+// so they are all attempt's. Events of an attempt the loop never reaches
+// are never delivered.
+func (e *emitter) reach(attempt int) {
+	if e == nil {
+		return
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.attempt = attempt
+	for _, ev := range e.held {
+		e.fn(ev)
+	}
+	e.held = nil
 }
 
 // observe adapts a correction.Options observer to progress events.
@@ -192,14 +223,23 @@ type ProtectResult struct {
 // is checked at every stage boundary of every escalation attempt;
 // cancellation returns ctx.Err() promptly.
 //
-// The unprotected baseline only prices each attempt's overhead and does
-// not depend on the randomization, so it is built alongside attempt 1's
-// randomization and protected build, each routing on half of the route
-// workers; later attempts get all of them. With one route worker the two
-// run in turn, baseline first, which is the serial schedule. Results do
-// not depend on the schedule: the two builds share no mutable state and
-// routing is byte-identical at every parallelism. When both fail, the
-// baseline's error is returned, as the serial schedule would.
+// Attempt 2's randomization is fixed once attempt 1's is done (its swap
+// cap is twice attempt 1's swap count); only the over-budget test needs
+// attempt 1's build. So with more than one route worker Protect starts
+// with one round, a par.ForEach with one goroutine per build that splits
+// the route workers between them: the unprotected baseline, which depends
+// on no randomization, attempt 1 and, if the loop could escalate to it
+// with the budget aside, attempt 2 built ahead of the loop. Attempts 3 and
+// later are built one at a time on every route worker. The loop takes the
+// builds in attempt order: a build's error surfaces when the loop reaches
+// it, and an attempt 2 the loop never reaches is discarded after the round
+// joins, so at most one build per call is wasted and no goroutine outlives
+// the call. With one route worker every build runs alone, the baseline
+// first, which is the serial schedule. Results do not depend on the
+// schedule: builds share no mutable state and routing is byte-identical at
+// every parallelism. The baseline's error wins over any attempt's, as in
+// the serial schedule, and a failed baseline cancels the rest of its round
+// at the next stage boundary.
 func Protect(ctx context.Context, original *netlist.Netlist, lib *cell.Library, cfg Config) (*ProtectResult, error) {
 	cfg = cfg.withDefaults()
 	em := newEmitter(cfg.Progress)
@@ -214,61 +254,69 @@ func Protect(ctx context.Context, original *netlist.Netlist, lib *cell.Library, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	totalPins := 0
+	for _, g := range original.Gates {
+		totalPins += len(g.Fanin)
+	}
+	esc := &escalation{original: original, lib: lib, cfg: cfg, em: em, totalPins: totalPins}
 
-	// The baseline and attempt 1's build each route on half the workers.
-	// A failed baseline makes attempt 1 moot: cancel it at its next stage
-	// boundary, or before it starts when the two run in turn.
 	var (
 		baseline *layout.Design
 		basePPA  timing.PPA
-		r1       *randomize.Result
-		p1       *correction.Protected
-		errs     [2]error
+		baseErr  error
 	)
-	half := copt
-	half.RouteOpt.Parallelism = max(rp/2, 1)
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	par.ForEach(2, min(rp, 2), func(_, i int) {
-		if i == 0 {
-			baseline, basePPA, errs[0] = buildBaseline(original, lib, half, em)
-			if errs[0] != nil {
-				cancel()
-			}
-			return
+	jobs := []func(correction.Options){func(o correction.Options) {
+		if baseline, basePPA, baseErr = buildBaseline(original, lib, o, em); baseErr != nil {
+			cancel()
 		}
-		r1, p1, errs[1] = buildAttempt(actx, original, lib, cfg, half, em, 0, 0)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	}}
+	if rp == 1 {
+		runRound(copt, jobs)
+		if baseErr != nil {
+			return nil, baseErr
 		}
+		jobs = nil
 	}
 
 	// Fig. 2's loop: first randomize until OER ≈ 100%, then keep adding
 	// randomization while the PPA budget is not yet expended. We escalate
 	// the swap budget geometrically and keep the largest within-budget
 	// protected design.
-	totalPins := 0
-	for _, g := range original.Gates {
-		totalPins += len(g.Fanin)
-	}
+	var (
+		ahead        *attemptBuild // attempt 2, built in the first round
+		within, last *ProtectResult
+	)
 	maxSwaps := 0 // first pass: whatever the OER target needs
-	var within, last *ProtectResult
 	for attempt := 0; attempt < cfg.MaxAttempts; attempt++ {
-		r, p := r1, p1
-		if attempt > 0 {
-			var err error
-			if r, p, err = buildAttempt(ctx, original, lib, cfg, copt, em, attempt, maxSwaps); err != nil {
-				return nil, err
+		em.reach(attempt + 1)
+		b := ahead
+		ahead = nil
+		if b == nil {
+			b = esc.randomize(ctx, attempt, maxSwaps)
+			jobs = esc.queue(actx, jobs, b)
+			if attempt == 0 && rp > 1 && b.err == nil {
+				if next, ok := esc.next(b); ok {
+					ahead = esc.randomize(ctx, 1, next)
+					jobs = esc.queue(actx, jobs, ahead)
+				}
 			}
+			runRound(copt, jobs)
+			if baseErr != nil {
+				return nil, baseErr
+			}
+			jobs = nil
+		}
+		if b.err != nil {
+			return nil, b.err
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		// Verify restoration (the paper's Formality step).
 		start := time.Now()
-		rec, err := p.RestoredNetlist()
+		rec, err := b.p.RestoredNetlist()
 		if err != nil {
 			return nil, err
 		}
@@ -280,7 +328,7 @@ func Protect(ctx context.Context, original *netlist.Netlist, lib *cell.Library, 
 			return nil, err
 		}
 		start = time.Now()
-		ppa, err := timing.AnalyzeRestored(p.Design, original, p.Design.Masters, lib)
+		ppa, err := timing.AnalyzeRestored(b.p.Design, original, b.p.Design.Masters, lib)
 		if err != nil {
 			return nil, err
 		}
@@ -288,18 +336,18 @@ func Protect(ctx context.Context, original *netlist.Netlist, lib *cell.Library, 
 		em.emit(Event{Stage: StagePPA, Attempt: attempt + 1,
 			Detail: fmt.Sprintf("power %+.1f%% delay %+.1f%%", powerOH, delayOH), Elapsed: time.Since(start)})
 		res := &ProtectResult{
-			Protected: p, Baseline: baseline, BasePPA: basePPA, FinalPPA: ppa,
-			OER: r.OER, Swaps: len(r.Swaps), Budget: cfg.PPABudgetPercent,
+			Protected: b.p, Baseline: baseline, BasePPA: basePPA, FinalPPA: ppa,
+			OER: b.r.OER, Swaps: len(b.r.Swaps), Budget: cfg.PPABudgetPercent,
 			PowerOH: powerOH, DelayOH: delayOH, AreaOH: areaOH,
 		}
 		last = res
-		overBudget := powerOH > cfg.PPABudgetPercent || delayOH > cfg.PPABudgetPercent
-		if !overBudget {
-			within = res
+		if powerOH > cfg.PPABudgetPercent || delayOH > cfg.PPABudgetPercent {
+			break // budget expended
 		}
-		next := len(r.Swaps) * 2
-		if overBudget || next > totalPins/4 || len(r.Swaps) < maxSwaps {
-			break // budget expended, or no headroom / no more feasible swaps
+		within = res
+		next, ok := esc.next(b)
+		if !ok {
+			break
 		}
 		maxSwaps = next
 	}
@@ -307,6 +355,23 @@ func Protect(ctx context.Context, original *netlist.Netlist, lib *cell.Library, 
 		return within, nil
 	}
 	return last, nil
+}
+
+// runRound runs one round's builds, one goroutine each, splitting the
+// route workers between them: every build gets an equal share, the first
+// ones one more each until the workers are used up, and none fewer than
+// one. A round of one build runs inline on every worker.
+func runRound(copt correction.Options, jobs []func(correction.Options)) {
+	n, rp := len(jobs), copt.RouteOpt.Parallelism
+	par.ForEach(n, n, func(_, i int) {
+		o := copt
+		o.RouteOpt.Parallelism = rp / n
+		if i < rp%n {
+			o.RouteOpt.Parallelism++
+		}
+		o.RouteOpt.Parallelism = max(o.RouteOpt.Parallelism, 1)
+		jobs[i](o)
+	})
 }
 
 // buildBaseline places, routes and analyzes the unprotected baseline.
@@ -324,39 +389,80 @@ func buildBaseline(original *netlist.Netlist, lib *cell.Library, copt correction
 	return baseline, basePPA, nil
 }
 
-// buildAttempt randomizes the netlist for escalation attempt attempt
-// (0-based) under a cap of maxSwaps swaps (0 = whatever the OER target
-// needs) and builds the protected layout.
-func buildAttempt(ctx context.Context, original *netlist.Netlist, lib *cell.Library, cfg Config,
-	copt correction.Options, em *emitter, attempt, maxSwaps int) (*randomize.Result, *correction.Protected, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+// escalation holds what one Protect call's attempts share.
+type escalation struct {
+	original  *netlist.Netlist
+	lib       *cell.Library
+	cfg       Config
+	em        *emitter
+	totalPins int
+}
+
+// attemptBuild is one escalation attempt (0-based): its randomization
+// under a cap of maxSwaps swaps (0 = whatever the OER target needs) and
+// its protected build. err is the first failure of the two.
+type attemptBuild struct {
+	attempt, maxSwaps int
+	r                 *randomize.Result
+	p                 *correction.Protected
+	err               error
+}
+
+// next returns the swap cap of the attempt after b and whether the loop
+// may escalate to it when b is within budget: the doubled cap must stay
+// within a quarter of all pins, b must have used up its cap (else no more
+// swaps are feasible), and the attempt cap must allow one more.
+func (e *escalation) next(b *attemptBuild) (int, bool) {
+	next := 2 * len(b.r.Swaps)
+	return next, b.attempt+1 < e.cfg.MaxAttempts && next <= e.totalPins/4 && len(b.r.Swaps) >= b.maxSwaps
+}
+
+// queue appends b's build to jobs, unless b is nil or already failed.
+func (e *escalation) queue(ctx context.Context, jobs []func(correction.Options), b *attemptBuild) []func(correction.Options) {
+	if b == nil || b.err != nil {
+		return jobs
 	}
-	copt.Observe = em.observe(attempt+1, "protected")
-	copt.RouteOpt.OnWave = em.observeWaves(attempt+1, "protected")
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	target := cfg.TargetOER
+	return append(jobs, func(o correction.Options) { b.p, b.err = e.build(ctx, b, o) })
+}
+
+// randomize randomizes the netlist for attempt under a cap of maxSwaps.
+func (e *escalation) randomize(ctx context.Context, attempt, maxSwaps int) *attemptBuild {
+	b := &attemptBuild{attempt: attempt, maxSwaps: maxSwaps}
+	if b.err = ctx.Err(); b.err != nil {
+		return b
+	}
+	rng := rand.New(rand.NewSource(e.cfg.Seed))
+	target := e.cfg.TargetOER
 	if attempt > 0 {
 		target = 2 // beyond-reachable: the swap cap governs escalation
 	}
 	start := time.Now()
-	r, err := randomize.Randomize(original, rng, randomize.Options{
+	r, err := randomize.Randomize(e.original, rng, randomize.Options{
 		TargetOER: target,
 		MaxSwaps:  maxSwaps,
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("flow: randomize: %v", err)
+		b.err = fmt.Errorf("flow: randomize: %v", err)
+		return b
 	}
-	em.emit(Event{Stage: StageRandomize, Attempt: attempt + 1,
+	b.r = r
+	e.em.emit(Event{Stage: StageRandomize, Attempt: attempt + 1,
 		Detail: fmt.Sprintf("%d swaps, OER %.3f", len(r.Swaps), r.OER), Elapsed: time.Since(start)})
+	return b
+}
+
+// build places, routes, lifts and restores b's protected layout.
+func (e *escalation) build(ctx context.Context, b *attemptBuild, copt correction.Options) (*correction.Protected, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	p, err := correction.BuildProtected(original, r, lib, copt)
+	copt.Observe = e.em.observe(b.attempt+1, "protected")
+	copt.RouteOpt.OnWave = e.em.observeWaves(b.attempt+1, "protected")
+	p, err := correction.BuildProtected(e.original, b.r, e.lib, copt)
 	if err != nil {
-		return nil, nil, fmt.Errorf("flow: protect: %v", err)
+		return nil, fmt.Errorf("flow: protect: %v", err)
 	}
-	return r, p, nil
+	return p, nil
 }
 
 // EvalOptions parameterizes EvaluateSecurity.

@@ -2,9 +2,12 @@ package flow
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"splitmfg/internal/bench"
 	"splitmfg/internal/cache"
@@ -89,10 +92,11 @@ func TestPPAWithinBudgetOrBackoff(t *testing.T) {
 }
 
 // TestProtectErrorSameAtEveryRouteParallelism: Protect builds the baseline
-// alongside attempt 1 when it has more than one route worker, but must
-// fail exactly as the serial schedule does. When only attempt 1 fails (no
-// correction cell for M7), its error is returned; when both fail (a
-// utilization the placer rejects), the baseline's is.
+// alongside attempt 1, and speculatively attempt 2, when it has more than
+// one route worker, but must fail exactly as the serial schedule does.
+// When only the attempts fail (no correction cell for M7), attempt 1's
+// error is returned; when all builds fail (a utilization the placer
+// rejects), the baseline's is.
 func TestProtectErrorSameAtEveryRouteParallelism(t *testing.T) {
 	nl, err := bench.ISCAS85("c432")
 	if err != nil {
@@ -111,14 +115,109 @@ func TestProtectErrorSameAtEveryRouteParallelism(t *testing.T) {
 	} {
 		for _, rp := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/route%d", tc.name, rp), func(t *testing.T) {
-				cfg := tc.cfg
-				cfg.Seed, cfg.MaxAttempts, cfg.RouteParallelism = 1, 1, rp
-				_, err := Protect(context.Background(), nl, lib, cfg)
-				if err == nil || err.Error() != tc.want {
-					t.Fatalf("Protect error %v, want %q", err, tc.want)
+				for _, attempts := range []int{1, 2} {
+					cfg := tc.cfg
+					cfg.Seed, cfg.MaxAttempts, cfg.RouteParallelism = 1, attempts, rp
+					_, err := Protect(context.Background(), nl, lib, cfg)
+					if err == nil || err.Error() != tc.want {
+						t.Fatalf("MaxAttempts %d: Protect error %v, want %q", attempts, err, tc.want)
+					}
 				}
 			})
 		}
+	}
+}
+
+// TestProtectSpeculationMatchesSerial: with more than one route worker
+// Protect builds attempt 2 alongside attempt 1 and discards it when the
+// loop stops at attempt 1. Whatever the loop does with it, the report, the
+// protected routing and the swap count must equal the serial schedule's
+// byte for byte, and no goroutine may outlive the call. The cases cover
+// attempt 2 discarded (budget 0.01% stops the loop at attempt 1), used
+// (budget 50%, MaxAttempts 2) and followed by an attempt built on its own
+// (budget 50%, MaxAttempts 3).
+func TestProtectSpeculationMatchesSerial(t *testing.T) {
+	lib := cell.NewNangate45Like()
+	nl, err := bench.ISCAS85("c432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		attempts int
+		budget   float64
+		reached  int // the attempt the loop stops at
+	}{
+		{2, 0.01, 1},
+		{2, 50, 2},
+		{3, 50, 3},
+	} {
+		t.Run(fmt.Sprintf("attempts%d/budget%g", tc.attempts, tc.budget), func(t *testing.T) {
+			var want protectFingerprint
+			for _, rp := range []int{1, 2, 4} {
+				reached, latest := 0, 0 // attempts verified, latest attempt heard of
+				cfg := Config{Seed: 1, MaxAttempts: tc.attempts, PPABudgetPercent: tc.budget, RouteParallelism: rp,
+					Progress: func(ev Event) {
+						if ev.Stage == StageVerify {
+							reached++
+						}
+						latest = max(latest, ev.Attempt)
+					}}
+				goroutines := runtime.NumGoroutine()
+				res, err := Protect(context.Background(), nl, lib, cfg)
+				if err != nil {
+					t.Fatalf("route%d: %v", rp, err)
+				}
+				waitGoroutines(t, goroutines)
+				if latest != reached {
+					t.Fatalf("route%d: events of attempt %d, but the loop reached attempt %d", rp, latest, reached)
+				}
+				if reached != tc.reached {
+					t.Fatalf("route%d: loop reached attempt %d, want %d: the case no longer exercises what it names", rp, reached, tc.reached)
+				}
+				got := fingerprintProtect(t, res, nl, cfg)
+				if rp == 1 {
+					want = got
+					continue
+				}
+				if got != want {
+					t.Fatalf("route%d differs from the serial schedule:\n got %+v\nwant %+v", rp, got, want)
+				}
+			}
+		})
+	}
+}
+
+// protectFingerprint is what TestProtectSpeculationMatchesSerial compares.
+type protectFingerprint struct {
+	report string // ProtectResult.Report as JSON
+	stats  string // the protected design's route.Stats as JSON
+	swaps  int
+}
+
+func fingerprintProtect(t *testing.T, res *ProtectResult, nl *netlist.Netlist, cfg Config) protectFingerprint {
+	t.Helper()
+	report, err := json.Marshal(res.Report(nl, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := json.Marshal(res.Protected.Design.Router.ComputeStats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return protectFingerprint{report: string(report), stats: string(stats), swaps: res.Swaps}
+}
+
+// waitGoroutines fails unless the goroutine count falls back to want. A
+// goroutine that has signalled its WaitGroup may take a moment to exit, so
+// the count is polled briefly rather than read once.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive Protect (had %d before)", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

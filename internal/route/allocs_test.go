@@ -31,7 +31,7 @@ func TestRouteNetAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 40
+	const budget = 25
 	if allocs > budget {
 		t.Fatalf("RouteNet allocates %.0f/op, budget %d — per-call scratch crept back in", allocs, budget)
 	}
@@ -76,7 +76,7 @@ func TestHierRefineAllocs(t *testing.T) {
 	})
 	// Re-routing 40 nets: each commit clones pins and builds a RoutedNet,
 	// like the flat path; the corridor machinery itself adds nothing.
-	budget := float64(len(jobs) * 40)
+	budget := float64(len(jobs) * 25)
 	if allocs > budget {
 		t.Fatalf("hier RouteJobs allocates %.0f/op for %d jobs, budget %.0f", allocs, len(jobs), budget)
 	}

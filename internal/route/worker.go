@@ -3,7 +3,7 @@ package route
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"splitmfg/internal/geom"
 	"splitmfg/internal/heapx"
@@ -384,7 +384,7 @@ func (w *worker) searchBounded(target Node, wireMin int, reg region) ([]Edge, bo
 	// was a map whose keys were seeded sorted — keeping that order keeps
 	// routing byte-identical.
 	seeds := append(w.seedBuf[:0], w.treeList...)
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
+	slices.Sort(seeds)
 	w.seedBuf = seeds
 	q := w.pqBuf[:0]
 	defer func() { w.pqBuf = q }()

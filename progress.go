@@ -14,6 +14,9 @@ import (
 // the reference layout. With one route worker (WithRouteParallelism(1))
 // the baseline is built first, so its events lead; with more, it is built
 // alongside attempt 1 and its events may interleave with attempt 1's.
+// Attempts never go backwards: an attempt built ahead of the escalation
+// loop reports its events only once the loop reaches it, and not at all
+// if the loop stops before.
 // Evaluate emits one StageAttack event per split layer; Suite emits one
 // StageSuiteBaseline event per benchmark and one StageSuiteCell event per
 // (benchmark, defense, replicate) cell.
@@ -54,7 +57,8 @@ type ProgressEvent = flow.Event
 // during parallel evaluation, so implementations need no locking. Events
 // of one build or attempt arrive in stage order; events of builds that
 // run concurrently (Protect's baseline and attempt 1, parallel layers,
-// suite cells) may interleave.
+// suite cells) may interleave. Protect's attempts report in attempt
+// order, even when a later one is built alongside an earlier one.
 type ProgressFunc = flow.ProgressFunc
 
 // ProgressLogger returns a ProgressFunc that writes one line per event to
